@@ -67,6 +67,10 @@ Outcome Run(const RunConfig& config) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> total_gets{0};
 
+  // The throughput window runs from the readers' start to after their
+  // join, measured rather than assumed: readers may overrun the writer's
+  // nominal measure_ms before they observe `stop`.
+  const auto window_start = std::chrono::steady_clock::now();
   std::vector<std::thread> readers;
   readers.reserve(config.readers);
   for (int t = 0; t < config.readers; ++t) {
@@ -109,10 +113,11 @@ Outcome Run(const RunConfig& config) {
     stop.store(true);
   }
   for (auto& reader : readers) reader.join();
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - window_start).count();
 
   const cache::CacheStats stats = cache.stats();
   Outcome out;
-  const double seconds = static_cast<double>(config.measure_ms) / 1000.0;
   out.gets_per_second = static_cast<double>(total_gets.load()) / seconds;
   out.ns_per_get = total_gets.load() == 0
                        ? 0

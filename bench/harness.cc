@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <thread>
 
 namespace qc::benchharness {
 
@@ -91,6 +92,20 @@ std::string JsonEscape(const std::string& s) {
   }
   return out;
 }
+
+/// The `model name` of the first CPU in /proc/cpuinfo; empty if absent.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) return {};
+    const size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? std::string() : line.substr(start);
+  }
+  return {};
+}
 }  // namespace
 
 std::string WriteBenchJson(const std::string& bench_name,
@@ -103,7 +118,9 @@ std::string WriteBenchJson(const std::string& bench_name,
     std::cerr << "warning: cannot write " << path << "\n";
     return {};
   }
-  out << "{\n  \"bench\": \"" << JsonEscape(bench_name) << "\",\n  \"metrics\": [";
+  out << "{\n  \"bench\": \"" << JsonEscape(bench_name) << "\",\n  \"machine\": "
+      << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": \"" << JsonEscape(CpuModel()) << "\"},\n  \"metrics\": [";
   for (size_t i = 0; i < metrics.size(); ++i) {
     const BenchMetric& m = metrics[i];
     out << (i ? ",\n" : "\n") << "    {\"name\": \"" << JsonEscape(m.name)

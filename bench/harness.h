@@ -69,7 +69,9 @@ struct BenchMetric {
 
 /// Write the run's metrics as `BENCH_<bench_name>.json` (into
 /// $BENCH_JSON_DIR, default the working directory) so CI and tooling can
-/// trend results without scraping the human-readable tables. Returns the
+/// trend results without scraping the human-readable tables. A top-level
+/// `machine` object records hardware_concurrency() and the /proc/cpuinfo
+/// `model name` (empty if absent) of the host that ran it. Returns the
 /// path written, or empty on I/O failure (reported to stderr, never fatal
 /// — the self-checks, not the artifact, gate the run).
 std::string WriteBenchJson(const std::string& bench_name,

@@ -134,9 +134,9 @@ bool GpsCache::Put(const std::string& key, CacheValuePtr value, std::optional<Du
 }
 
 bool GpsCache::Put(const std::string& key, CacheValuePtr value, std::optional<Duration> ttl,
-                   const AdmitDecider& admit, std::string durable_tag) {
+                   const AdmitDecider& admit, std::string durable_tag, uint64_t owner) {
   Shard& shard = ShardFor(key);
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   bool stored = false;
   bool replaced = false;
   bool admitted = true;
@@ -177,11 +177,7 @@ bool GpsCache::Put(const std::string& key, CacheValuePtr value, std::optional<Du
         }
         std::vector<std::string> disk_victims;
         stored = shard.disk->Put(key, value->Serialize(), spill, &disk_victims);
-        for (const std::string& victim : disk_victims) {
-          shard.meta.erase(victim);
-          removed.push_back({victim, RemovalCause::kEvicted});
-          ++shard.stats.evictions;
-        }
+        for (const std::string& victim : disk_victims) EvictedLocked(shard, victim, removed);
       }
 
       if (stored) {
@@ -189,6 +185,7 @@ bool GpsCache::Put(const std::string& key, CacheValuePtr value, std::optional<Du
         Meta& meta = shard.meta[key];
         meta.generation = ++shard.generation_counter;
         meta.durable_tag = std::move(durable_tag);
+        if (owner != 0) meta.owner = owner;
         if (ttl) {
           const TimePoint deadline = now_() + *ttl;
           meta.expires_at_ns.store(ToNs(deadline), std::memory_order_relaxed);
@@ -252,7 +249,7 @@ CacheValuePtr GpsCache::Get(const std::string& key) {
 }
 
 CacheValuePtr GpsCache::GetExclusive(const std::string& key, Shard& shard) {
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   CacheValuePtr result;
   bool memory_hit = false;
   {
@@ -326,7 +323,7 @@ bool GpsCache::Contains(const std::string& key) {
 
 bool GpsCache::Invalidate(const std::string& key) {
   Shard& shard = ShardFor(key);
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   bool present;
   {
     std::lock_guard<std::shared_mutex> lock(shard.mutex);
@@ -348,7 +345,7 @@ size_t GpsCache::InvalidateBatch(const std::vector<std::string>& keys) {
         shards_.size() == 1 ? 0 : std::hash<std::string>{}(key) % shards_.size();
     by_shard[shard].push_back(&key);
   }
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   size_t present = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (by_shard[i].empty()) continue;
@@ -370,12 +367,12 @@ size_t GpsCache::InvalidateBatch(const std::vector<std::string>& keys) {
 }
 
 void GpsCache::Clear() {
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     std::lock_guard<std::shared_mutex> lock(shard.mutex);
     for (const auto& [key, meta] : shard.meta) {
-      removed.push_back({key, RemovalCause::kCleared});
+      removed.push_back({key, RemovalCause::kCleared, meta.owner});
     }
     if (shard.memory) shard.memory->Clear();
     if (shard.disk) shard.disk->Clear();
@@ -389,7 +386,7 @@ void GpsCache::Clear() {
 }
 
 size_t GpsCache::ExpireDue() {
-  std::vector<std::pair<std::string, RemovalCause>> removed;
+  Removals removed;
   size_t n = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::shared_mutex> lock(shard->mutex);
@@ -471,17 +468,31 @@ void GpsCache::FlushLog() {
 }
 
 bool GpsCache::RemoveLocked(Shard& shard, const std::string& key, RemovalCause cause,
-                            std::vector<std::pair<std::string, RemovalCause>>& removed) {
+                            Removals& removed) {
   bool present = false;
   if (shard.memory && shard.memory->Erase(key)) present = true;
   if (shard.disk && shard.disk->Erase(key)) present = true;
-  if (shard.meta.erase(key) > 0) present = true;
-  if (present) removed.push_back({key, cause});
+  uint64_t owner = 0;
+  if (auto it = shard.meta.find(key); it != shard.meta.end()) {
+    owner = it->second.owner;
+    shard.meta.erase(it);
+    present = true;
+  }
+  if (present) removed.push_back({key, cause, owner});
   return present;
 }
 
-size_t GpsCache::ExpireDueLocked(Shard& shard,
-                                 std::vector<std::pair<std::string, RemovalCause>>& removed) {
+void GpsCache::EvictedLocked(Shard& shard, const std::string& key, Removals& removed) {
+  uint64_t owner = 0;
+  if (auto it = shard.meta.find(key); it != shard.meta.end()) {
+    owner = it->second.owner;
+    shard.meta.erase(it);
+  }
+  removed.push_back({key, RemovalCause::kEvicted, owner});
+  ++shard.stats.evictions;
+}
+
+size_t GpsCache::ExpireDueLocked(Shard& shard, Removals& removed) {
   const TimePoint now = now_();
   size_t expired = 0;
   while (!shard.expiry_heap.empty() && shard.expiry_heap.top().when <= now) {
@@ -499,7 +510,7 @@ size_t GpsCache::ExpireDueLocked(Shard& shard,
 }
 
 void GpsCache::HandleMemoryEvictions(Shard& shard, std::vector<MemoryStore::Evicted>& evicted,
-                                     std::vector<std::pair<std::string, RemovalCause>>& removed) {
+                                     Removals& removed) {
   for (MemoryStore::Evicted& victim : evicted) {
     if (config_.mode == CacheMode::kHybrid) {
       // Spill with the victim's persisted metadata: its durable tag and
@@ -515,25 +526,19 @@ void GpsCache::HandleMemoryEvictions(Shard& shard, std::vector<MemoryStore::Evic
       if (shard.disk->Put(victim.key, victim.value->Serialize(), spill, &disk_victims)) {
         ++shard.stats.spills;
       } else {
-        shard.meta.erase(victim.key);
-        removed.push_back({victim.key, RemovalCause::kEvicted});
-        ++shard.stats.evictions;
+        EvictedLocked(shard, victim.key, removed);
       }
       for (const std::string& disk_victim : disk_victims) {
-        shard.meta.erase(disk_victim);
-        removed.push_back({disk_victim, RemovalCause::kEvicted});
-        ++shard.stats.evictions;
+        EvictedLocked(shard, disk_victim, removed);
       }
     } else {
-      shard.meta.erase(victim.key);
-      removed.push_back({victim.key, RemovalCause::kEvicted});
-      ++shard.stats.evictions;
+      EvictedLocked(shard, victim.key, removed);
     }
   }
   evicted.clear();
 }
 
-void GpsCache::NotifyRemovals(const std::vector<std::pair<std::string, RemovalCause>>& removed) {
+void GpsCache::NotifyRemovals(const Removals& removed) {
   if (removed.empty()) return;
   RemovalListener listener;
   {
@@ -541,7 +546,7 @@ void GpsCache::NotifyRemovals(const std::vector<std::pair<std::string, RemovalCa
     listener = removal_listener_;
   }
   if (!listener) return;
-  for (const auto& [key, cause] : removed) listener(key, cause);
+  for (const Removal& removal : removed) listener(removal.key, removal.cause, removal.owner);
 }
 
 }  // namespace qc::cache

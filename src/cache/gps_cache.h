@@ -184,9 +184,13 @@ class GpsCache {
   using AdmitDecider = std::function<AdmitDecision()>;
 
   /// Guarded Put with reject-cause attribution; otherwise identical to the
-  /// AdmitGuard overload.
+  /// AdmitGuard overload. A non-zero `owner` tags the stored entry and is
+  /// handed back to the removal listener when the entry leaves, so the
+  /// owner of a key's *current* entry can tell a late notification about
+  /// an earlier entry apart from its own removal. `owner` 0 keeps the tag
+  /// a replaced entry had (0 for a new key).
   bool Put(const std::string& key, CacheValuePtr value, std::optional<Duration> ttl,
-           const AdmitDecider& admit, std::string durable_tag);
+           const AdmitDecider& admit, std::string durable_tag, uint64_t owner = 0);
 
   /// Lookup. Expired entries count as misses. Under kClock, a memory hit
   /// (and any clean miss) is served under the *shared* shard lock — an
@@ -224,10 +228,12 @@ class GpsCache {
   /// the shared-lock read path already served-as-miss.
   size_t ExpireDue();
 
-  /// Observer invoked whenever an object leaves the cache entirely. Called
-  /// *outside* all shard locks (so it may re-enter the cache), on the
-  /// thread that triggered the removal.
-  using RemovalListener = std::function<void(const std::string& key, RemovalCause cause)>;
+  /// Observer invoked whenever an object leaves the cache entirely, with
+  /// the removed entry's owner tag (see Put). Called *outside* all shard
+  /// locks (so it may re-enter the cache), on the thread that triggered
+  /// the removal — possibly after the same key was filled again.
+  using RemovalListener =
+      std::function<void(const std::string& key, RemovalCause cause, uint64_t owner)>;
   void SetRemovalListener(RemovalListener listener);
 
   /// Aggregated over all shards (each shard snapshotted under its lock;
@@ -279,7 +285,18 @@ class GpsCache {
     /// Persisted with the entry on disk spills (see Put). Kept here so a
     /// memory-resident entry carries its tag to a later spill.
     std::string durable_tag;
+    /// The Put caller's owner tag, reported with the entry's removal.
+    uint64_t owner = 0;
   };
+
+  /// One entry that left the cache, noted under the shard lock and
+  /// reported to the removal listener after it is released.
+  struct Removal {
+    std::string key;
+    RemovalCause cause;
+    uint64_t owner;
+  };
+  using Removals = std::vector<Removal>;
 
   /// One rw-lock-striped slice of the cache: its own storage levels,
   /// expiry heap and statistics. `mutex` guards everything except the
@@ -326,13 +343,13 @@ class GpsCache {
   CacheValuePtr GetExclusive(const std::string& key, Shard& shard);
   // All *Locked methods require the shard's mutex held exclusively.
   CacheStats ShardStatsLocked(const Shard& shard) const;
-  bool RemoveLocked(Shard& shard, const std::string& key, RemovalCause cause,
-                    std::vector<std::pair<std::string, RemovalCause>>& removed);
-  size_t ExpireDueLocked(Shard& shard,
-                         std::vector<std::pair<std::string, RemovalCause>>& removed);
+  bool RemoveLocked(Shard& shard, const std::string& key, RemovalCause cause, Removals& removed);
+  /// Drop an evicted key's metadata (its data is already gone) and note it.
+  void EvictedLocked(Shard& shard, const std::string& key, Removals& removed);
+  size_t ExpireDueLocked(Shard& shard, Removals& removed);
   void HandleMemoryEvictions(Shard& shard, std::vector<MemoryStore::Evicted>& evicted,
-                             std::vector<std::pair<std::string, RemovalCause>>& removed);
-  void NotifyRemovals(const std::vector<std::pair<std::string, RemovalCause>>& removed);
+                             Removals& removed);
+  void NotifyRemovals(const Removals& removed);
 
   GpsCacheConfig config_;
   TimeSource now_;

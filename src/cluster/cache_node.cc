@@ -7,9 +7,17 @@
 namespace qc::cluster {
 
 CacheNodeRuntime::CacheNodeRuntime(CacheNodeConfig config)
-    : config_(std::move(config)), ring_(config_.ring_vnodes) {
+    : config_(std::move(config)),
+      ring_(config_.ring_vnodes),
+      applier_(
+          [this](const server::CdcRecord& record) {
+            engine_->dup_engine().OnBatch(record.AsBatch());
+            // Relay downstream (push-lease client caches) with the upstream
+            // sequence numbering intact.
+            server_->PublishCdc(record);
+          },
+          [this] { engine_->cache().Clear(); }) {
   if (config_.name.empty()) throw Error("cache node needs a name");
-  gate_ = std::make_shared<dup::CdcSequenceGate>();
   ring_.AddNode(config_.name);
   for (const PeerAddress& addr : config_.peers) {
     if (addr.name == config_.name) throw Error("peer list contains this node's own name");
@@ -30,7 +38,7 @@ middleware::CachedQueryEngine::Options CacheNodeRuntime::DecorateEngineOptions(
                 "the node's local tables hold no data to re-execute against");
   }
   options.subscribe_to_database = false;  // invalidations arrive on the CDC stream
-  options.seq_gate = gate_;
+  options.seq_gate = gate();
   options.remote_fetch = [this](const sql::BoundQuery& query, const std::vector<Value>& params) {
     return RemoteFetch(query, params);
   };
@@ -66,13 +74,11 @@ void CacheNodeRuntime::Start() {
   if (engine_ == nullptr || server_ == nullptr) {
     throw Error("CacheNodeRuntime::Start before AttachServer");
   }
-  if (started_.exchange(true)) return;
-  applier_ = std::thread([this] { ApplierLoop(); });
+  applier_.Subscribe(config_.upstream_host, config_.upstream_port);
 }
 
 void CacheNodeRuntime::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (applier_.joinable()) applier_.join();
+  applier_.Stop();
   std::lock_guard<std::mutex> lock(upstream_mutex_);
   upstream_.Close();
   for (auto& [name, peer] : peers_) {
@@ -81,56 +87,26 @@ void CacheNodeRuntime::Stop() {
   }
 }
 
-bool CacheNodeRuntime::WaitForSeq(uint64_t seq, std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lock(applied_mutex_);
-  return applied_cv_.wait_for(lock, timeout, [this, seq] { return applied_complete_ >= seq; });
-}
-
 CacheNodeRuntime::Counters CacheNodeRuntime::counters() const {
   Counters c;
-  c.cdc_events_applied = cdc_events_applied_.load(std::memory_order_relaxed);
+  c.cdc_events_applied = applier_.records_applied();
   c.ring_forwards = ring_forwards_.load(std::memory_order_relaxed);
-  c.gap_flushes = gap_flushes_.load(std::memory_order_relaxed);
+  c.gap_flushes = applier_.gap_flushes();
   return c;
 }
 
 // --- Upstream fill / DML ---------------------------------------------------
 
-server::QcClient& CacheNodeRuntime::UpstreamLocked() {
-  if (!upstream_.connected()) {
-    upstream_.Connect(config_.upstream_host, config_.upstream_port);
-  }
-  return upstream_;
-}
-
 middleware::CachedQueryEngine::RemoteFill CacheNodeRuntime::RemoteFetch(
     const sql::BoundQuery& query, const std::vector<Value>& params) {
   const std::string sql = sql::CanonicalSql(query.stmt());
-  std::lock_guard<std::mutex> lock(upstream_mutex_);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      server::QcClient::SeqQueryResult reply = UpstreamLocked().QuerySeq(sql, params);
-      return {std::make_shared<const sql::ResultSet>(std::move(reply.result)),
-              reply.observed_seq};
-    } catch (const server::NetError&) {
-      // A broken connection mid-call leaves no usable stream; reconnect
-      // once, then let the error surface to the requesting client.
-      upstream_.Close();
-      if (attempt > 0) throw;
-    }
-  }
+  server::QcClient::SeqQueryResult reply =
+      WithUpstream([&](server::QcClient& upstream) { return upstream.QuerySeq(sql, params); });
+  return {std::make_shared<const sql::ResultSet>(std::move(reply.result)), reply.observed_seq};
 }
 
 uint64_t CacheNodeRuntime::ForwardDml(const std::string& sql, const std::vector<Value>& params) {
-  std::lock_guard<std::mutex> lock(upstream_mutex_);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return UpstreamLocked().Dml(sql, params);
-    } catch (const server::NetError&) {
-      upstream_.Close();
-      if (attempt > 0) throw;
-    }
-  }
+  return WithUpstream([&](server::QcClient& upstream) { return upstream.Dml(sql, params); });
 }
 
 // --- Ring routing ----------------------------------------------------------
@@ -161,58 +137,6 @@ std::optional<middleware::CachedQueryEngine::ExecuteResult> CacheNodeRuntime::Ro
       // Sound (the gate and epoch guards still apply locally) at the cost
       // of a duplicate cached copy until the peer returns.
       if (attempt > 0) return std::nullopt;
-    }
-  }
-}
-
-// --- CDC applier -----------------------------------------------------------
-
-void CacheNodeRuntime::MarkApplied(uint64_t seq) {
-  {
-    std::lock_guard<std::mutex> lock(applied_mutex_);
-    if (applied_complete_ < seq) applied_complete_ = seq;
-  }
-  applied_cv_.notify_all();
-}
-
-void CacheNodeRuntime::ApplierLoop() {
-  const int poll_ms = static_cast<int>(config_.cdc_poll.count());
-  while (!stop_.load(std::memory_order_relaxed)) {
-    try {
-      server::QcClient stream;
-      stream.Connect(config_.upstream_host, config_.upstream_port);
-      const uint64_t current = stream.SubscribeCdc(gate_->applied());
-      if (current > gate_->applied()) {
-        // Missed stream window (first subscribe skips this: applied is 0
-        // only when current is too, unless records already flowed).
-        // Flush everything cached, then fence: Advance() retroactively
-        // refuses every in-flight fill that observed a pre-gap sequence.
-        engine_->cache().Clear();
-        gate_->Advance(current);
-        gap_flushes_.fetch_add(1, std::memory_order_relaxed);
-      }
-      MarkApplied(gate_->applied());
-      while (!stop_.load(std::memory_order_relaxed)) {
-        std::optional<server::CdcRecord> record = stream.ReadCdcEvent(poll_ms);
-        if (!record) continue;  // poll timeout; re-check stop_
-        // Gate first, invalidations second: between the two, a racing
-        // fill is refused by the gate; after both, it is refused by the
-        // epoch snapshot or torn down by the invalidation (the fill
-        // registers in the ODG before its guarded Put). Either way no
-        // stale entry survives — docs/CLUSTER.md, "Why the applier
-        // advances the gate first".
-        gate_->Advance(record->seq);
-        engine_->dup_engine().OnBatch(record->AsBatch());
-        cdc_events_applied_.fetch_add(1, std::memory_order_relaxed);
-        // Relay downstream (push-lease client caches) with the upstream
-        // sequence numbering intact.
-        server_->PublishCdc(*record);
-        MarkApplied(record->seq);
-      }
-      return;
-    } catch (const Error&) {
-      if (stop_.load(std::memory_order_relaxed)) return;
-      std::this_thread::sleep_for(config_.reconnect_backoff);
     }
   }
 }

@@ -14,16 +14,11 @@
 //   * SELECTs for fingerprints another cache node owns -> forwarded to the
 //     owner (QcServer select router over cluster::HashRing), so each
 //     result is cached on exactly one node;
-//   * CDC records -> the applier thread Advance()s the gate, applies the
-//     record through the node's DUP engine, then relays it to this node's
-//     own subscribers (push-lease client caches) via QcServer::PublishCdc.
-//
-// Ordering is load-bearing: the gate is advanced *before* the record's
-// invalidations run, so a racing remote fill that observed an older
-// sequence is refused at admission rather than cached forever; and a
-// resubscribe gap (missed stream window) flushes the cache and advances
-// the gate to the server's current sequence, retroactively refusing every
-// pre-gap fill. The full soundness argument lives in docs/CLUSTER.md.
+//   * CDC records -> the node's CdcApplier (cdc_applier.h, which keeps the
+//     gate-first ordering argument) applies each record through the DUP
+//     engine, then relays it to this node's own subscribers (push-lease
+//     client caches) via QcServer::PublishCdc; a resubscribe gap flushes
+//     the whole cache.
 //
 // Forwarding topology is a DAG — client -> cache node -> owning cache
 // node -> storage node — so forwards cannot cycle or deadlock: a node
@@ -34,21 +29,20 @@
 // Start() must run in that order on one thread before traffic; Stop() may
 // be called from any thread and must precede destruction of the engine
 // and server. The upstream client and each peer client are mutex-guarded
-// (QcClient itself is single-threaded); the applier thread owns its own
-// connection. Counters are relaxed atomics.
+// (QcClient itself is single-threaded); the applier's subscription thread
+// owns its own connection. Counters are relaxed atomics.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/cdc_applier.h"
 #include "cluster/ring.h"
 #include "dup/epochs.h"
 #include "middleware/query_engine.h"
@@ -76,12 +70,6 @@ struct CacheNodeConfig {
   std::vector<PeerAddress> peers;
 
   size_t ring_vnodes = 64;
-
-  /// Applier reconnect backoff after a lost upstream connection.
-  std::chrono::milliseconds reconnect_backoff{50};
-
-  /// CDC read poll granularity (bounds Stop() latency).
-  std::chrono::milliseconds cdc_poll{100};
 };
 
 class CacheNodeRuntime {
@@ -94,7 +82,7 @@ class CacheNodeRuntime {
   CacheNodeRuntime(const CacheNodeRuntime&) = delete;
   CacheNodeRuntime& operator=(const CacheNodeRuntime&) = delete;
 
-  const std::shared_ptr<dup::CdcSequenceGate>& gate() const { return gate_; }
+  const std::shared_ptr<dup::CdcSequenceGate>& gate() const { return applier_.gate(); }
   const HashRing& ring() const { return ring_; }
 
   /// Rewrite engine options for cache-node duty: no local database
@@ -111,8 +99,9 @@ class CacheNodeRuntime {
   /// Stop().
   void AttachServer(middleware::CachedQueryEngine& engine, server::QcServer& server);
 
-  /// Launch the CDC applier thread (connect upstream, SUBSCRIBE, apply
-  /// records, relay them downstream). Call after server.Start().
+  /// Launch the CDC applier's subscription thread (connect upstream,
+  /// SUBSCRIBE, apply records, relay them downstream). Call after
+  /// server.Start(); repeated calls are no-ops.
   void Start();
 
   /// Stop the applier and close every outbound connection. Idempotent.
@@ -121,7 +110,9 @@ class CacheNodeRuntime {
   /// Block until every record up to `seq` has been fully applied locally
   /// (gate advanced AND invalidations run AND relayed). Returns false on
   /// timeout. Test/bench helper.
-  bool WaitForSeq(uint64_t seq, std::chrono::milliseconds timeout);
+  bool WaitForSeq(uint64_t seq, std::chrono::milliseconds timeout) {
+    return applier_.WaitForSeq(seq, timeout);
+  }
 
   struct Counters {
     uint64_t cdc_events_applied = 0;  // CDC records applied by the applier
@@ -136,17 +127,27 @@ class CacheNodeRuntime {
   uint64_t ForwardDml(const std::string& sql, const std::vector<Value>& params);
   std::optional<middleware::CachedQueryEngine::ExecuteResult> RouteSelect(
       const std::string& sql, const std::vector<Value>& params);
-  void ApplierLoop();
-  void MarkApplied(uint64_t seq);
 
-  /// upstream_mutex_ held. Connects lazily; on a transport error the
-  /// caller Close()s and retries once (the connection is request-response,
-  /// so a failed call leaves no usable stream state).
-  server::QcClient& UpstreamLocked();
+  /// Run `call` on the lazily connected upstream connection under
+  /// upstream_mutex_. A transport error leaves no usable stream state (the
+  /// protocol is request-response), so close, reconnect and retry once;
+  /// a second failure surfaces to the requesting client.
+  template <typename Call>
+  auto WithUpstream(Call call) {
+    std::lock_guard<std::mutex> lock(upstream_mutex_);
+    for (int attempt = 0;; ++attempt) {
+      try {
+        if (!upstream_.connected()) upstream_.Connect(config_.upstream_host, config_.upstream_port);
+        return call(upstream_);
+      } catch (const server::NetError&) {
+        upstream_.Close();
+        if (attempt > 0) throw;
+      }
+    }
+  }
 
   CacheNodeConfig config_;
   HashRing ring_;
-  std::shared_ptr<dup::CdcSequenceGate> gate_;
 
   middleware::CachedQueryEngine* engine_ = nullptr;
   server::QcServer* server_ = nullptr;
@@ -163,17 +164,10 @@ class CacheNodeRuntime {
   };
   std::unordered_map<std::string, std::unique_ptr<Peer>> peers_;  // immutable map after ctor
 
-  std::thread applier_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> started_{false};
-
-  std::mutex applied_mutex_;
-  std::condition_variable applied_cv_;
-  uint64_t applied_complete_ = 0;  // guarded by applied_mutex_
-
-  std::atomic<uint64_t> cdc_events_applied_{0};
   std::atomic<uint64_t> ring_forwards_{0};
-  std::atomic<uint64_t> gap_flushes_{0};
+
+  // Last member: destroyed (and its subscription thread joined) first.
+  CdcApplier applier_;
 };
 
 }  // namespace qc::cluster

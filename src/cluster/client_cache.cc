@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
 #include "common/strings.h"
 #include "sql/fingerprint.h"
 #include "sql/parser.h"
@@ -28,26 +27,28 @@ ParsedSelect ParseSelect(const std::string& sql, const std::vector<Value>& param
 }  // namespace
 
 ClientCache::ClientCache(std::string host, uint16_t port, ClientCacheConfig config)
-    : host_(std::move(host)), port_(port), config_(std::move(config)) {
-  if (config_.enable_subscription) {
-    subscriber_ = std::thread([this] { SubscriptionLoop(); });
-  }
+    : host_(std::move(host)),
+      port_(port),
+      config_(std::move(config)),
+      applier_(
+          [this](const server::CdcRecord& record) { DropTable(record.table); },
+          [this] {
+            std::lock_guard<std::mutex> lock(mutex_);
+            entries_.clear();
+            lru_.clear();
+            invalidated_cv_.notify_all();
+          }) {
+  if (config_.enable_subscription) applier_.Subscribe(host_, port_);
 }
 
 ClientCache::~ClientCache() {
-  stop_.store(true, std::memory_order_relaxed);
-  if (subscriber_.joinable()) subscriber_.join();
+  applier_.Stop();
   std::lock_guard<std::mutex> lock(origin_mutex_);
   origin_.Close();
 }
 
 cache::TimePoint ClientCache::Now() const {
   return config_.now ? config_.now() : std::chrono::steady_clock::now();
-}
-
-server::QcClient& ClientCache::OriginLocked() {
-  if (!origin_.connected()) origin_.Connect(host_, port_);
-  return origin_;
 }
 
 middleware::CachedQueryEngine::ExecuteResult ClientCache::Execute(
@@ -62,9 +63,7 @@ middleware::CachedQueryEngine::ExecuteResult ClientCache::Execute(
       // While the push channel is healthy it is the freshness authority —
       // an entry still present has not been invalidated, serve it at any
       // age. Disconnected, fall back to the lease.
-      const bool subscribed =
-          config_.enable_subscription && healthy_.load(std::memory_order_relaxed);
-      if (subscribed || Now() - it->second.fetched_at < config_.lease_ttl) {
+      if (applier_.subscribed() || Now() - it->second.fetched_at < config_.lease_ttl) {
         lru_.splice(lru_.begin(), lru_, it->second.lru);
         local_hits_.fetch_add(1, std::memory_order_relaxed);
         return {it->second.result, true};
@@ -75,28 +74,16 @@ middleware::CachedQueryEngine::ExecuteResult ClientCache::Execute(
   }
 
   origin_requests_.fetch_add(1, std::memory_order_relaxed);
-  server::QcClient::SeqQueryResult reply;
-  {
-    std::lock_guard<std::mutex> lock(origin_mutex_);
-    for (int attempt = 0;; ++attempt) {
-      try {
-        reply = OriginLocked().QuerySeq(sql, params);
-        break;
-      } catch (const server::NetError&) {
-        origin_.Close();
-        if (attempt > 0) throw;
-      }
-    }
-  }
+  server::QcClient::SeqQueryResult reply =
+      WithOrigin([&](server::QcClient& origin) { return origin.QuerySeq(sql, params); });
   auto result = std::make_shared<const sql::ResultSet>(std::move(reply.result));
 
   std::lock_guard<std::mutex> lock(mutex_);
   // Sequence-admission guard, client edition: if a pushed invalidation
   // with a higher sequence than this fill observed has already been
-  // applied, the fill may predate it — serve it once but do not cache it
-  // (docs/CLUSTER.md, "Stream-sequence admission").
-  if (config_.enable_subscription &&
-      push_seq_.load(std::memory_order_relaxed) > reply.observed_seq) {
+  // applied, the fill may predate it — serve it once but do not cache it.
+  // Checked under mutex_, so it is atomic with the insertion below.
+  if (!applier_.gate()->Admits(reply.observed_seq)) {
     seq_admit_rejects_.fetch_add(1, std::memory_order_relaxed);
     return {std::move(result), false};
   }
@@ -116,28 +103,13 @@ middleware::CachedQueryEngine::ExecuteResult ClientCache::Execute(
 }
 
 uint64_t ClientCache::Dml(const std::string& sql, const std::vector<Value>& params) {
-  uint64_t affected = 0;
-  {
-    std::lock_guard<std::mutex> lock(origin_mutex_);
-    for (int attempt = 0;; ++attempt) {
-      try {
-        affected = OriginLocked().Dml(sql, params);
-        break;
-      } catch (const server::NetError&) {
-        origin_.Close();
-        if (attempt > 0) throw;
-      }
-    }
-  }
+  const uint64_t affected =
+      WithOrigin([&](server::QcClient& origin) { return origin.Dml(sql, params); });
   // Read-your-writes: drop our own copies of the written table now rather
   // than when the pushed record loops back.
   try {
     const sql::AnyStatement stmt = sql::ParseStatement(sql);
-    if (stmt.kind == sql::AnyStatement::Kind::kDml) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      InvalidateTableLocked(ToUpper(stmt.dml.table), push_invalidations_);
-      invalidated_cv_.notify_all();
-    }
+    if (stmt.kind == sql::AnyStatement::Kind::kDml) DropTable(stmt.dml.table);
   } catch (const std::exception&) {
     // Unparseable locally (the server accepted it): the push will catch up.
   }
@@ -182,67 +154,20 @@ void ClientCache::EraseLocked(std::unordered_map<std::string, Entry>::iterator i
   entries_.erase(it);
 }
 
-void ClientCache::InvalidateTableLocked(const std::string& upper_table,
-                                        std::atomic<uint64_t>& counter) {
+void ClientCache::DropTable(const std::string& table) {
+  const std::string upper_table = ToUpper(table);
+  std::lock_guard<std::mutex> lock(mutex_);
   for (auto it = entries_.begin(); it != entries_.end();) {
     const std::vector<std::string>& tables = it->second.tables;
     if (std::find(tables.begin(), tables.end(), upper_table) != tables.end()) {
       lru_.erase(it->second.lru);
       it = entries_.erase(it);
-      counter.fetch_add(1, std::memory_order_relaxed);
+      push_invalidations_.fetch_add(1, std::memory_order_relaxed);
     } else {
       ++it;
     }
   }
-}
-
-void ClientCache::ApplyPush(const server::CdcRecord& record) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Fence first, then invalidate — a fill racing this push either sees the
-  // raised push_seq_ at admission or its entry is erased here; both orders
-  // keep the cache fresh (same argument as the cache node's applier).
-  uint64_t seq = push_seq_.load(std::memory_order_relaxed);
-  while (seq < record.seq &&
-         !push_seq_.compare_exchange_weak(seq, record.seq, std::memory_order_relaxed)) {
-  }
-  InvalidateTableLocked(ToUpper(record.table), push_invalidations_);
   invalidated_cv_.notify_all();
-}
-
-void ClientCache::SubscriptionLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    try {
-      server::QcClient stream;
-      stream.Connect(host_, port_);
-      const uint64_t current = stream.SubscribeCdc(last_seen_);
-      if (current > last_seen_) {
-        // Missed stream window: flush everything and fence admissions at
-        // the server's current sequence.
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.clear();
-        lru_.clear();
-        uint64_t seq = push_seq_.load(std::memory_order_relaxed);
-        while (seq < current &&
-               !push_seq_.compare_exchange_weak(seq, current, std::memory_order_relaxed)) {
-        }
-        last_seen_ = current;
-        invalidated_cv_.notify_all();
-      }
-      healthy_.store(true, std::memory_order_relaxed);
-      while (!stop_.load(std::memory_order_relaxed)) {
-        std::optional<server::CdcRecord> record =
-            stream.ReadCdcEvent(static_cast<int>(config_.cdc_poll.count()));
-        if (!record) continue;  // poll timeout; re-check stop_
-        ApplyPush(*record);
-        last_seen_ = record->seq;
-      }
-      return;
-    } catch (const Error&) {
-      healthy_.store(false, std::memory_order_relaxed);
-      if (stop_.load(std::memory_order_relaxed)) return;
-      std::this_thread::sleep_for(config_.reconnect_backoff);
-    }
-  }
 }
 
 }  // namespace qc::cluster

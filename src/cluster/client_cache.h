@@ -12,13 +12,14 @@
 // freshness authority); if the subscription drops, entries are only served
 // until their lease expires, and the client falls back to origin fetches
 // until the stream reconnects. Fills use QUERY_SEQ, and the observed
-// sequence gates admission exactly like a cache node's fills: a result
-// that raced a newer pushed invalidation is not admitted.
+// sequence is admitted against the CdcApplier's gate exactly like a cache
+// node's fills (cdc_applier.h keeps the ordering argument).
 //
 // @thread_safety (accurate as of the CDC refactor): Execute/Dml/Refresh/
 // WaitForInvalidation/stats may be called from any number of threads; the
 // entry map is mutex-guarded, the origin connection is serialized on its
-// own mutex, and the subscription thread owns a separate connection.
+// own mutex, and the applier's subscription thread owns a separate
+// connection.
 #pragma once
 
 #include <atomic>
@@ -28,11 +29,11 @@
 #include <list>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/gps_cache.h"
+#include "cluster/cdc_applier.h"
 #include "middleware/query_engine.h"
 #include "server/client.h"
 
@@ -52,10 +53,6 @@ struct ClientCacheConfig {
   /// Subscribe to the node's CDC stream. Off = pure lease/TTL client (the
   /// paper's original client tier).
   bool enable_subscription = true;
-
-  /// Subscription reconnect backoff and CDC read poll granularity.
-  std::chrono::milliseconds reconnect_backoff{50};
-  std::chrono::milliseconds cdc_poll{50};
 };
 
 struct ClientCacheStats {
@@ -106,9 +103,10 @@ class ClientCache {
 
   /// True while the CDC subscription is connected (entries served on push
   /// authority rather than lease expiry).
-  bool subscription_healthy() const { return healthy_.load(std::memory_order_relaxed); }
+  bool subscription_healthy() const { return applier_.subscribed(); }
 
-  uint64_t last_push_seq() const { return push_seq_.load(std::memory_order_relaxed); }
+  /// Highest pushed (or gap-fenced) sequence applied.
+  uint64_t last_push_seq() const { return applier_.applied(); }
 
   ClientCacheStats stats() const;
   size_t entry_count() const;
@@ -122,14 +120,26 @@ class ClientCache {
   };
 
   cache::TimePoint Now() const;
-  void SubscriptionLoop();
-  void ApplyPush(const server::CdcRecord& record);
   void EraseLocked(std::unordered_map<std::string, Entry>::iterator it);
-  void InvalidateTableLocked(const std::string& upper_table, std::atomic<uint64_t>& counter);
+  /// Drop every entry over `table` (a pushed record or our own DML).
+  void DropTable(const std::string& table);
 
-  /// origin_mutex_ held. Lazily connected; callers Close()+retry once on a
-  /// transport error.
-  server::QcClient& OriginLocked();
+  /// Run `call` on the lazily connected origin connection under
+  /// origin_mutex_. A transport error leaves no usable stream state (the
+  /// protocol is request-response), so close, reconnect and retry once.
+  template <typename Call>
+  auto WithOrigin(Call call) {
+    std::lock_guard<std::mutex> lock(origin_mutex_);
+    for (int attempt = 0;; ++attempt) {
+      try {
+        if (!origin_.connected()) origin_.Connect(host_, port_);
+        return call(origin_);
+      } catch (const server::NetError&) {
+        origin_.Close();
+        if (attempt > 0) throw;
+      }
+    }
+  }
 
   const std::string host_;
   const uint16_t port_;
@@ -143,18 +153,15 @@ class ClientCache {
   std::list<std::string> lru_;  // front = most recent
   std::condition_variable invalidated_cv_;
 
-  std::thread subscriber_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> healthy_{false};
-  std::atomic<uint64_t> push_seq_{0};  // highest pushed (or fenced) sequence
-  uint64_t last_seen_ = 0;             // subscription thread only
-
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> local_hits_{0};
   std::atomic<uint64_t> origin_requests_{0};
   std::atomic<uint64_t> push_invalidations_{0};
   std::atomic<uint64_t> lease_expiries_{0};
   std::atomic<uint64_t> seq_admit_rejects_{0};
+
+  // Last member: destroyed (and its subscription thread joined) first.
+  CdcApplier applier_;
 };
 
 }  // namespace qc::cluster

@@ -11,7 +11,12 @@ CacheCluster::CacheCluster(storage::Database& db, ClusterConfig config)
   nodes_.reserve(config_.nodes);
   for (size_t i = 0; i < config_.nodes; ++i) {
     Node node;
-    node.gate = std::make_shared<dup::CdcSequenceGate>();
+    // The bus never skips a sequence, so the gap flush is unreachable here.
+    node.applier = std::make_unique<CdcApplier>(
+        [this, i](const server::CdcRecord& record) {
+          nodes_[i].engine->dup_engine().OnBatch(record.AsBatch());
+        },
+        [this, i] { nodes_[i].engine->cache().Clear(); });
     middleware::CachedQueryEngine::Options options;
     options.policy = config_.policy;
     options.extraction = config_.extraction;
@@ -21,7 +26,7 @@ CacheCluster::CacheCluster(storage::Database& db, ClusterConfig config)
       options.cache.disk_directory += "/node" + std::to_string(i);
     }
     options.subscribe_to_database = false;  // the CDC bus routes invalidations
-    options.seq_gate = node.gate;
+    options.seq_gate = node.applier->gate();
     // A fill observes the bus's last assigned sequence before taking its
     // table read locks (the engine loads this before LockTablesShared), so
     // the gate can refuse it if a newer record was applied meanwhile.
@@ -141,13 +146,8 @@ void CacheCluster::OnCommittedBatch(const storage::UpdateBatch& batch) {
 void CacheCluster::ApplyTo(size_t target, const server::CdcRecord& record,
                            std::atomic<uint64_t>& counter) {
   Node& node = nodes_[target];
-  // Gate first, invalidations second — the same ordering as the wire
-  // applier (docs/CLUSTER.md, "Why the applier advances the gate first"):
-  // a fill racing this delivery is refused by the gate or torn down by the
-  // invalidation, never cached stale.
-  node.gate->Advance(record.seq);
   const uint64_t before = node.engine->dup_stats().invalidations;
-  node.engine->dup_engine().OnBatch(record.AsBatch());
+  node.applier->Apply(record);
   counter.fetch_add(node.engine->dup_stats().invalidations - before,
                     std::memory_order_relaxed);
 }

@@ -1,7 +1,7 @@
 // An in-process cache-node group over one shared database — the
 // single-binary twin of the wire cluster (docs/CLUSTER.md): several
 // CachedQueryEngine instances, each with its own GPS cache and its own
-// dup::CdcSequenceGate, coupled by a sequenced CDC bus instead of TCP.
+// CdcApplier and sequence gate, coupled by a sequenced CDC bus instead of TCP.
 //
 // The bus mirrors the storage node's publisher exactly: every committed
 // storage::UpdateBatch is stamped with a monotonically increasing stream
@@ -16,10 +16,10 @@
 // cached once; ExecuteAt() pins a node explicitly (tests, and the
 // paper-faithful "every clone caches everything" experiments).
 //
-// Each delivery Advance()s the target's sequence gate *before* applying
-// the record's invalidations, and each node's fills observe the bus's
-// last assigned sequence *before* taking their table read locks — the
-// same admission protocol as the wire cluster, so a fill that raced a
+// Each delivery goes through the target node's CdcApplier — the same
+// applier the wire tiers use (cdc_applier.h keeps the gate-first ordering
+// argument) — and each node's fills observe the bus's last assigned
+// sequence *before* taking their table read locks, so a fill that raced a
 // newer delivery is refused instead of cached stale
 // (QueryEngineStats::seq_admit_rejects). The paper's Fig. 13 coherence
 // measures (tokens sent, remote invalidations per update, staleness
@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cdc_applier.h"
 #include "cluster/ring.h"
 #include "dup/epochs.h"
 #include "middleware/query_engine.h"
@@ -114,7 +115,7 @@ class CacheCluster {
   middleware::CachedQueryEngine& node(size_t i) { return *nodes_.at(i).engine; }
 
   /// The sequence gate of one node (tests: assert admission behavior).
-  dup::CdcSequenceGate& gate(size_t i) { return *nodes_.at(i).gate; }
+  dup::CdcSequenceGate& gate(size_t i) { return *nodes_.at(i).applier->gate(); }
 
   /// Last sequence assigned by the bus.
   uint64_t committed_seq() const { return bus_seq_.load(std::memory_order_acquire); }
@@ -153,8 +154,8 @@ class CacheCluster {
 
  private:
   struct Node {
+    std::unique_ptr<CdcApplier> applier;
     std::unique_ptr<middleware::CachedQueryEngine> engine;
-    std::shared_ptr<dup::CdcSequenceGate> gate;
   };
 
   struct PendingDelivery {
@@ -165,9 +166,8 @@ class CacheCluster {
 
   static std::string NodeName(size_t i) { return "node" + std::to_string(i); }
 
-  /// Apply one CDC record to one node: gate first, invalidations second
-  /// (the admission protocol's ordering), counting the DUP invalidations
-  /// it caused.
+  /// Apply one CDC record to one node through its applier, counting the
+  /// DUP invalidations it caused.
   void ApplyTo(size_t target, const server::CdcRecord& record, std::atomic<uint64_t>& counter);
 
   void OnCommittedBatch(const storage::UpdateBatch& batch);

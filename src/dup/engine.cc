@@ -26,7 +26,9 @@ DupEngine::DupEngine(cache::GpsCache& cache, Options options)
   // Keep the ODG consistent with cache contents: evictions, expirations and
   // replacements remove the object vertex as well.
   cache_.SetRemovalListener(
-      [this](const std::string& key, cache::RemovalCause) { UnregisterQuery(key); });
+      [this](const std::string& key, cache::RemovalCause, uint64_t owner) {
+        UnregisterQuery(key, owner);
+      });
 }
 
 std::string DupEngine::ColumnVertexName(const std::string& table, const std::string& column) {
@@ -93,15 +95,15 @@ void DupEngine::StampEpochsBatch(const storage::UpdateBatch& batch) {
 
 void DupEngine::RegisterQuery(const std::string& key,
                               std::shared_ptr<const sql::BoundQuery> query,
-                              const std::vector<Value>& params) {
+                              const std::vector<Value>& params, uint64_t owner) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  RegisterLocked(key, std::move(query), params, /*conservative=*/false);
+  RegisterLocked(key, std::move(query), params, /*conservative=*/false, owner);
 }
 
 void DupEngine::RegisterQueryConservative(const std::string& key,
                                           std::shared_ptr<const sql::BoundQuery> query) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  RegisterLocked(key, std::move(query), {}, /*conservative=*/true);
+  RegisterLocked(key, std::move(query), {}, /*conservative=*/true, /*owner=*/0);
 }
 
 void DupEngine::RemoveFromRowIndexes(const std::string& key, const DependencyTemplate& deps) {
@@ -113,7 +115,8 @@ void DupEngine::RemoveFromRowIndexes(const std::string& key, const DependencyTem
 
 void DupEngine::RegisterLocked(const std::string& key,
                                std::shared_ptr<const sql::BoundQuery> query,
-                               const std::vector<Value>& params, bool conservative) {
+                               const std::vector<Value>& params, bool conservative,
+                               uint64_t owner) {
   // Replace any stale registration (e.g. a re-executed query after
   // invalidation raced with an eviction notification).
   if (auto it = registered_.find(key); it != registered_.end()) {
@@ -200,16 +203,17 @@ void DupEngine::RegisterLocked(const std::string& key,
   reg.deps = std::move(deps);
   reg.annotations = std::move(annotations);
   reg.conservative = conservative;
+  reg.owner = owner;
   registered_.emplace(key, std::move(reg));
   const size_t count = registered_.size();
   std::lock_guard<std::mutex> stats_lock(stats_mutex_);
   stats_.registered_queries = count;
 }
 
-void DupEngine::UnregisterQuery(const std::string& key) {
+void DupEngine::UnregisterQuery(const std::string& key, uint64_t owner) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   auto it = registered_.find(key);
-  if (it == registered_.end()) return;
+  if (it == registered_.end() || it->second.owner != owner) return;
   if (graph_.IsLive(it->second.vertex)) graph_.RemoveVertex(it->second.vertex);
   for (const std::string& table : it->second.deps->tables) {
     table_queries_[ToUpper(table)].erase(key);

@@ -103,9 +103,11 @@ class DupEngine {
   /// Register a cached query result under `key` (its fingerprint).
   /// Builds (or reuses) the statement's dependency template and adds the
   /// object vertex plus its annotated edges to the ODG. The engine keeps
-  /// `query` and `params` for row-aware refinement.
+  /// `query` and `params` for row-aware refinement. `owner` is the tag the
+  /// caller stores the entry under (GpsCache::Put); only a removal of an
+  /// entry with that tag unregisters this registration again.
   void RegisterQuery(const std::string& key, std::shared_ptr<const sql::BoundQuery> query,
-                     const std::vector<Value>& params);
+                     const std::vector<Value>& params, uint64_t owner = 0);
 
   /// Conservative registration for warm-restart recovery: the statement is
   /// known (re-parsed from its persisted canonical SQL) but its parameter
@@ -119,8 +121,12 @@ class DupEngine {
   void RegisterQueryConservative(const std::string& key,
                                  std::shared_ptr<const sql::BoundQuery> query);
 
-  /// Drop the object vertex for `key` (cache removal). Idempotent.
-  void UnregisterQuery(const std::string& key);
+  /// Drop the object vertex for `key` if it was registered with `owner`
+  /// (cache removal). Idempotent. The owner check matters because removal
+  /// notifications run outside the cache's locks: a late notification for
+  /// an entry that was removed and then filled again must not unregister
+  /// the refill, or the refilled entry would never be invalidated.
+  void UnregisterQuery(const std::string& key, uint64_t owner = 0);
 
   /// Observe the update epochs of every dependency slot of `query`: one
   /// slot per referenced table.column (attribute updates) plus one per
@@ -196,6 +202,9 @@ class DupEngine {
     /// annotations are absent, row-aware refinement must not evaluate the
     /// WHERE clause, and the refresher cannot re-execute it.
     bool conservative = false;
+
+    /// The cache-entry owner tag this registration covers (RegisterQuery).
+    uint64_t owner = 0;
   };
 
   static std::string ColumnVertexName(const std::string& table, const std::string& column);
@@ -215,7 +224,7 @@ class DupEngine {
 
   /// Shared body of the two registration entry points. Requires mutex_.
   void RegisterLocked(const std::string& key, std::shared_ptr<const sql::BoundQuery> query,
-                      const std::vector<Value>& params, bool conservative);
+                      const std::vector<Value>& params, bool conservative, uint64_t owner);
 
   /// Collect the fingerprints the batch invalidates under the policy,
   /// deduplicated across the batch's rows. Takes the engine lock shared

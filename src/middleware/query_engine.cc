@@ -46,8 +46,9 @@ CachedQueryEngine::CachedQueryEngine(storage::Database& db, Options options)
     // down the key's ODG registration; widen it so cache removals also
     // drop the key's semantic-source entry. (Serving from a stale entry
     // would still be epoch-checked — this is hygiene, not correctness.)
-    cache_->SetRemovalListener([this](const std::string& key, cache::RemovalCause) {
-      dup_->UnregisterQuery(key);
+    cache_->SetRemovalListener([this](const std::string& key, cache::RemovalCause,
+                                      uint64_t owner) {
+      dup_->UnregisterQuery(key, owner);
       semantic_->Remove(key);
     });
   }
@@ -331,8 +332,12 @@ bool CachedQueryEngine::StoreResult(const std::string& key,
   // window: a record applied after this registration but before the Put
   // either bumps an observed epoch (snapshot check) or advances the
   // sequence gate past observed_seq (gate check) — and a record applied
-  // after the Put finds the entry registered and tears it down.
-  dup_->RegisterQuery(key, query, params);
+  // after the Put finds the entry registered and tears it down. The owner
+  // tag ties the registration to this entry, so a late removal
+  // notification for an earlier entry under the same key cannot
+  // unregister it (DupEngine::UnregisterQuery).
+  const uint64_t owner = next_owner_.fetch_add(1, std::memory_order_relaxed) + 1;
+  dup_->RegisterQuery(key, query, params, owner);
   const dup::CdcSequenceGate* gate = options_.seq_gate.get();
   cache::GpsCache::AdmitDecision decision = cache::GpsCache::AdmitDecision::kAdmit;
   // The durable tag rides along on disk spills so a warm restart can
@@ -357,9 +362,9 @@ bool CachedQueryEngine::StoreResult(const std::string& key,
         }
         return decision;
       }),
-      std::move(durable_tag));
+      std::move(durable_tag), owner);
   if (!stored) {
-    dup_->UnregisterQuery(key);
+    dup_->UnregisterQuery(key, owner);
     switch (decision) {
       case cache::GpsCache::AdmitDecision::kRejectStale:
         stats_.stale_discards.fetch_add(1, std::memory_order_relaxed);

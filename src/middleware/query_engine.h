@@ -301,6 +301,11 @@ class CachedQueryEngine {
   static constexpr size_t kMissStripes = 64;
   mutable std::array<std::mutex, kMissStripes> miss_mutexes_;
 
+  /// Source of the owner tags that tie each fill's DUP registration to its
+  /// cache entry, so a removal notification that arrives after the key
+  /// was filled again leaves the refill registered (StoreResult).
+  std::atomic<uint64_t> next_owner_{0};
+
   mutable std::mutex prepared_mutex_;
   std::unordered_map<std::string, std::shared_ptr<const sql::BoundQuery>> prepared_;
   QueryEngineStats stats_;

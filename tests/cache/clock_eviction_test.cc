@@ -123,7 +123,7 @@ TEST(ClockEviction, ExpiredEntryServedAsMissAndReapedByNextWriter) {
   config.now = [&now] { return now; };
   GpsCache cache(config);
   std::vector<std::pair<std::string, RemovalCause>> removals;
-  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause, uint64_t) {
     removals.push_back({key, cause});
   });
 

@@ -32,7 +32,7 @@ TEST_P(GpsCacheConcurrency, ParallelMixedOperations) {
 
   std::atomic<uint64_t> listener_calls{0};
   cache.SetRemovalListener(
-      [&](const std::string&, RemovalCause) { listener_calls.fetch_add(1); });
+      [&](const std::string&, RemovalCause, uint64_t) { listener_calls.fetch_add(1); });
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
@@ -97,7 +97,7 @@ TEST(GpsCacheListener, ListenerReentrancyIsSafe) {
   // A removal listener that calls back into the cache (like the DUP engine
   // unregistering) must not deadlock: notifications run outside the lock.
   GpsCache cache(GpsCacheConfig{});
-  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kInvalidated) {
       (void)cache.Contains(key);  // re-enters the cache mutex
     }

@@ -159,14 +159,31 @@ TEST(GpsCache, MemoryModeBasics) {
 TEST(GpsCache, ClearRemovesEverythingAndNotifies) {
   GpsCache cache(GpsCacheConfig{});
   std::vector<std::pair<std::string, RemovalCause>> removals;
-  cache.SetRemovalListener(
-      [&](const std::string& key, RemovalCause cause) { removals.emplace_back(key, cause); });
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause, uint64_t) {
+    removals.emplace_back(key, cause);
+  });
   cache.Put("a", Str("1"));
   cache.Put("b", Str("2"));
   cache.Clear();
   EXPECT_EQ(cache.entry_count(), 0u);
   ASSERT_EQ(removals.size(), 2u);
   EXPECT_EQ(removals[0].second, RemovalCause::kCleared);
+}
+
+TEST(GpsCache, RemovalListenerReportsTheRemovedEntrysOwner) {
+  GpsCache cache(GpsCacheConfig{});
+  std::vector<std::pair<std::string, uint64_t>> removals;
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause, uint64_t owner) {
+    removals.emplace_back(key, owner);
+  });
+  cache.Put("a", Str("1"), std::nullopt, GpsCache::AdmitDecider{}, "", 5);
+  cache.Put("a", Str("2"));  // an untagged replace keeps the entry's owner
+  cache.Invalidate("a");
+  cache.Put("a", Str("3"), std::nullopt, GpsCache::AdmitDecider{}, "", 6);
+  cache.Clear();
+  cache.Put("b", Str("4"));
+  cache.Invalidate("b");
+  EXPECT_EQ(removals, (std::vector<std::pair<std::string, uint64_t>>{{"a", 5}, {"a", 6}, {"b", 0}}));
 }
 
 TEST(GpsCache, ExpirationWithInjectedClock) {
@@ -210,7 +227,7 @@ TEST(GpsCache, ReplacementRefreshesExpiration) {
 TEST(GpsCache, ReplacementDoesNotNotifyRemoval) {
   GpsCache cache(GpsCacheConfig{});
   int removals = 0;
-  cache.SetRemovalListener([&](const std::string&, RemovalCause) { ++removals; });
+  cache.SetRemovalListener([&](const std::string&, RemovalCause, uint64_t) { ++removals; });
   cache.Put("k", Str("v1"));
   cache.Put("k", Str("v2"));
   EXPECT_EQ(removals, 0);
@@ -222,7 +239,7 @@ TEST(GpsCache, EvictionNotifiesListener) {
   config.memory_max_entries = 2;
   GpsCache cache(config);
   std::vector<std::string> evicted;
-  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kEvicted) evicted.push_back(key);
   });
   cache.Put("a", Str("1"));
@@ -255,7 +272,7 @@ TEST(GpsCache, HybridSpillsAndPromotes) {
   config.deserializer = &StringValue::Deserialize;
   GpsCache cache(config);
   int full_evictions = 0;
-  cache.SetRemovalListener([&](const std::string&, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string&, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kEvicted) ++full_evictions;
   });
 

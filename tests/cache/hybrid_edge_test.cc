@@ -41,7 +41,7 @@ TEST(HybridEdge, DiskBudgetBoundsSpillDepth) {
   GpsCacheConfig config = HybridConfig("qc_hybrid_edge2", 2200, 3300);
   GpsCache cache(config);
   int evicted = 0;
-  cache.SetRemovalListener([&](const std::string&, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string&, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kEvicted) ++evicted;
   });
   for (int i = 0; i < 10; ++i) {
@@ -86,7 +86,7 @@ TEST(HybridEdge, PromoteSurvivesSpillBackEvictionCascade) {
   config.memory_max_entries = 1;
   GpsCache cache(config);
   std::vector<std::string> evicted;
-  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string& key, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kEvicted) evicted.push_back(key);
   });
 

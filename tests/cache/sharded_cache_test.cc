@@ -121,7 +121,7 @@ TEST(ShardedCache, ClearCountsOnceAndEmptiesEveryShard) {
   for (int i = 0; i < 64; ++i) cache.Put(Key(i), Str("v"));
 
   int removals = 0;
-  cache.SetRemovalListener([&](const std::string&, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string&, RemovalCause cause, uint64_t) {
     EXPECT_EQ(cause, RemovalCause::kCleared);
     ++removals;
   });

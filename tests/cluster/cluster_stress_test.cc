@@ -3,7 +3,7 @@
 // and the background applier races the resulting CDC records against
 // those fills. After quiescing, no node may hold a stale entry — any
 // delayed fill that raced a delivery must have been refused by its
-// sequence gate (docs/CLUSTER.md, "Stream-sequence admission").
+// sequence gate (docs/CLUSTER.md, "Sequence-guarded admission").
 //
 // Run under the tsan-cluster preset to assert the data-race freedom of the
 // bus, the gates and the admission path; the staleness assertion itself

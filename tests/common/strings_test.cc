@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace qc {
 namespace {
 
@@ -16,6 +18,12 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// Names each case after its strings rather than gtest's default byte dump,
+// which would embed pointer values and so change from run to run.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' -> " << (c.match ? "match" : "no match");
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 

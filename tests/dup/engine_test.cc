@@ -200,6 +200,32 @@ TEST_F(EngineTest, UnregisterOnCacheRemovalKeepsGraphClean) {
   EXPECT_EQ(engine_->stats().registered_queries, 0u);
 }
 
+// Removal notices run outside the cache's locks, so one can arrive after
+// its key was filled again. The notice for the earlier entry must leave
+// the refill registered, or no update could ever invalidate the refill.
+TEST_F(EngineTest, LateRemovalNoticeLeavesTheRefillRegistered) {
+  const std::string sql = "SELECT COUNT(*) FROM A WHERE X = 1";
+  const std::string key = Setup(InvalidationPolicy::kValueAware, sql);
+  std::vector<uint64_t> held;  // notices a slow invalidating thread has not delivered yet
+  cache_->SetRemovalListener(
+      [&](const std::string&, cache::RemovalCause, uint64_t owner) { held.push_back(owner); });
+  cache_->Invalidate(key);
+
+  engine_->RegisterQuery(key, sql::ParseAndBind(sql, db_), {}, /*owner=*/7);
+  ASSERT_TRUE(cache_->Put(key, std::make_shared<cache::StringValue>("refill"), std::nullopt,
+                          cache::GpsCache::AdmitDecider{}, "", /*owner=*/7));
+  cache_->SetRemovalListener([this](const std::string& k, cache::RemovalCause, uint64_t owner) {
+    engine_->UnregisterQuery(k, owner);
+  });
+  ASSERT_EQ(held, (std::vector<uint64_t>{0}));
+  engine_->UnregisterQuery(key, held[0]);  // the late notice
+  EXPECT_EQ(engine_->stats().registered_queries, 1u);
+
+  table_->Insert({Value(1), Value(0), Value("s")});
+  EXPECT_FALSE(Cached(key));
+  EXPECT_EQ(engine_->stats().registered_queries, 0u);
+}
+
 TEST_F(EngineTest, ReRegistrationReplacesVertex) {
   const std::string key = Setup(InvalidationPolicy::kValueAware,
                                 "SELECT COUNT(*) FROM A WHERE X = 1");

@@ -365,7 +365,7 @@ TEST_F(GpsRecoveryTest, HotPathCorruptionAfterRecoveryIsCountedMiss) {
   for (const auto& file : SpillFiles(dir_)) fs::resize_file(file, 10);
 
   int evicted_notifications = 0;
-  cache.SetRemovalListener([&](const std::string&, RemovalCause cause) {
+  cache.SetRemovalListener([&](const std::string&, RemovalCause cause, uint64_t) {
     if (cause == RemovalCause::kEvicted) ++evicted_notifications;
   });
   CacheValuePtr result;
