@@ -5,14 +5,14 @@
 #      recovery, stress, dup-labeled invalidation tests);
 #   2. dup:    `ctest -L dup` on the same build — the sublinear-invalidation
 #      suite on its own, for quick iteration on the DUP engine;
-#   3. tsan:   ThreadSanitizer build, stress-, server-, vec- and
-#              semantic-labeled tests (exercises the default kClock
+#   3. tsan:   ThreadSanitizer build, stress-, server-, vec-, semantic-
+#              and cluster-labeled tests (exercises the default kClock
 #              shared-lock hit path, the qcached I/O-thread/worker handoff,
 #              the vectorized scan worker pool and hash-join/arithmetic
-#              differential rounds, and the semantic tier's concurrent
-#              no-stale-hit suite);
-#   4. asan:   AddressSanitizer build, recovery-, server-, vec- and
-#              semantic-labeled tests;
+#              differential rounds, the semantic tier's concurrent
+#              no-stale-hit suite, and the CDC applier and cluster);
+#   4. asan:   AddressSanitizer build, recovery-, server-, vec-, semantic-
+#              and cluster-labeled tests;
 #   5. bench-smoke: the self-checking extension benches (ext_hit_contention,
 #              ext_invalidation_scale, ext_server_latency, ext_scan_speed,
 #              ext_semantic_hit, ext_cluster_invalidation)

@@ -4,7 +4,7 @@
 //
 //   offset  size  field
 //   0       4     magic "QCSP"
-//   4       4     format version (currently 1)
+//   4       4     format version (currently 2)
 //   8       4     key length
 //   12      4     durable-tag length
 //   16      8     payload length
@@ -32,7 +32,10 @@
 namespace qc::cache {
 
 inline constexpr char kSpillMagic[4] = {'Q', 'C', 'S', 'P'};
-inline constexpr uint32_t kSpillVersion = 1;
+// Version 2: the middleware's payloads and durable tags use the QCP/1 value
+// encoding (common/wire.h); version-1 files carried a retired text format
+// and fail DecodeSpillRecord, so recovery quarantines them.
+inline constexpr uint32_t kSpillVersion = 2;
 inline constexpr size_t kSpillHeaderBytes = 36;
 
 /// Expiration sentinel: the entry never expires.

@@ -21,9 +21,12 @@
 //     the whole cache.
 //
 // Forwarding topology is a DAG — client -> cache node -> owning cache
-// node -> storage node — so forwards cannot cycle or deadlock: a node
-// never forwards a fingerprint it owns, and ownership is consistent
-// across nodes (same ring member list).
+// node -> storage node — so a forward cannot cycle: a node never forwards
+// a fingerprint it owns, and ownership is consistent across nodes (same
+// ring member list). It can still deadlock: a forward blocks the worker
+// that makes it, with no timeout, so pipelined reads into two nodes can
+// leave every worker of both waiting on the other (qcbench/README.md,
+// "Reads enter the ring through cache0 only"; ROADMAP item 1).
 //
 // @thread_safety Construct, DecorateEngineOptions, AttachServer and
 // Start() must run in that order on one thread before traffic; Stop() may

@@ -42,4 +42,12 @@ class CacheError : public Error {
   explicit CacheError(const std::string& what) : Error("cache error: " + what) {}
 };
 
+/// Raised on malformed bytes in the shared binary encoding (common/wire.h):
+/// QCP/1 frames and CDC records off the network, spill payloads and
+/// durable tags off disk. The server answers it with MALFORMED_FRAME.
+class ProtocolError : public Error {
+ public:
+  explicit ProtocolError(const std::string& what) : Error("protocol error: " + what) {}
+};
+
 }  // namespace qc

@@ -1,165 +1,35 @@
 #include "middleware/result_value.h"
 
-#include <cstdio>
-#include <cstring>
-
-#include "common/error.h"
+#include "common/wire.h"
 
 namespace qc::middleware {
 
-namespace {
-
-// Format (text, length-prefixed where content is free-form):
-//   RS1\n<ncols>\n(<len>:<name>\n)*<nrows>\n(row: one value per line)*
-//   value lines: "N" | "I <int>" | "D <hexfloat>" | "S <len>:<bytes>"
-
-void AppendValue(std::string& out, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out += "N\n";
-      break;
-    case ValueType::kInt:
-      out += "I ";
-      out += std::to_string(v.as_int());
-      out += '\n';
-      break;
-    case ValueType::kDouble: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "D %a\n", v.as_double());
-      out += buf;
-      break;
-    }
-    case ValueType::kString:
-      out += "S ";
-      out += std::to_string(v.as_string().size());
-      out += ':';
-      out += v.as_string();
-      out += '\n';
-      break;
-  }
+std::string ResultValue::Serialize() const {
+  WireWriter w;
+  sql::EncodeResult(*result_, w);
+  return w.Take();
 }
 
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::string_view Line() {
-    const size_t nl = data_.find('\n', pos_);
-    if (nl == std::string_view::npos) throw CacheError("result deserialize: truncated input");
-    std::string_view line = data_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return line;
-  }
-
-  /// Reads "<len>:<bytes>" where bytes may contain newlines.
-  std::string LengthPrefixed() {
-    const size_t colon = data_.find(':', pos_);
-    if (colon == std::string_view::npos) throw CacheError("result deserialize: missing length");
-    const size_t len = ParseSize(data_.substr(pos_, colon - pos_));
-    pos_ = colon + 1;
-    if (pos_ + len + 1 > data_.size()) throw CacheError("result deserialize: truncated string");
-    std::string out(data_.substr(pos_, len));
-    pos_ += len;
-    if (data_[pos_] != '\n') throw CacheError("result deserialize: missing terminator");
-    ++pos_;
-    return out;
-  }
-
-  Value ReadValue() {
-    if (pos_ >= data_.size()) throw CacheError("result deserialize: truncated value");
-    const char tag = data_[pos_];
-    if (tag == 'N') {
-      Line();
-      return Value::Null();
-    }
-    if (tag == 'I') {
-      std::string_view line = Line();
-      return Value(static_cast<int64_t>(std::stoll(std::string(line.substr(2)))));
-    }
-    if (tag == 'D') {
-      std::string_view line = Line();
-      return Value(std::strtod(std::string(line.substr(2)).c_str(), nullptr));
-    }
-    if (tag == 'S') {
-      pos_ += 2;  // "S "
-      return Value(LengthPrefixed());
-    }
-    throw CacheError("result deserialize: bad value tag");
-  }
-
-  static size_t ParseSize(std::string_view s) {
-    size_t out = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') throw CacheError("result deserialize: bad number");
-      out = out * 10 + static_cast<size_t>(c - '0');
-    }
-    return out;
-  }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::string ResultValue::Serialize() const {
-  std::string out = "RS1\n";
-  out += std::to_string(result_->columns().size());
-  out += '\n';
-  for (const std::string& name : result_->columns()) {
-    out += std::to_string(name.size());
-    out += ':';
-    out += name;
-    out += '\n';
-  }
-  out += std::to_string(result_->row_count());
-  out += '\n';
-  for (const storage::Row& row : result_->rows()) {
-    for (const Value& v : row) AppendValue(out, v);
-  }
-  return out;
+cache::CacheValuePtr ResultValue::Deserialize(std::string_view bytes) {
+  WireReader r(bytes);
+  auto result = std::make_shared<sql::ResultSet>(sql::DecodeResult(r));
+  r.ExpectEnd();
+  return std::make_shared<ResultValue>(std::move(result));
 }
 
 std::string EncodeQueryTag(const std::string& canonical_sql, const std::vector<Value>& params) {
-  std::string out = "QT1\n";
-  out += std::to_string(canonical_sql.size());
-  out += ':';
-  out += canonical_sql;
-  out += '\n';
-  out += std::to_string(params.size());
-  out += '\n';
-  for (const Value& v : params) AppendValue(out, v);
-  return out;
+  WireWriter w;
+  w.Str(canonical_sql);
+  w.Params(params);
+  return w.Take();
 }
 
 void DecodeQueryTag(std::string_view tag, std::string* canonical_sql,
                     std::vector<Value>* params) {
-  Reader reader(tag);
-  if (reader.Line() != "QT1") throw CacheError("query tag: bad magic");
-  *canonical_sql = reader.LengthPrefixed();
-  const size_t nparams = Reader::ParseSize(reader.Line());
-  params->clear();
-  params->reserve(nparams);
-  for (size_t i = 0; i < nparams; ++i) params->push_back(reader.ReadValue());
-}
-
-cache::CacheValuePtr ResultValue::Deserialize(std::string_view bytes) {
-  Reader reader(bytes);
-  if (reader.Line() != "RS1") throw CacheError("result deserialize: bad magic");
-  const size_t ncols = Reader::ParseSize(reader.Line());
-  std::vector<std::string> columns;
-  columns.reserve(ncols);
-  for (size_t i = 0; i < ncols; ++i) columns.push_back(reader.LengthPrefixed());
-  auto result = std::make_shared<sql::ResultSet>(std::move(columns));
-  const size_t nrows = Reader::ParseSize(reader.Line());
-  for (size_t r = 0; r < nrows; ++r) {
-    storage::Row row;
-    row.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) row.push_back(reader.ReadValue());
-    result->AddRow(std::move(row));
-  }
-  return std::make_shared<ResultValue>(result);
+  WireReader r(tag);
+  *canonical_sql = r.Str();
+  *params = r.Params();
+  r.ExpectEnd();
 }
 
 }  // namespace qc::middleware

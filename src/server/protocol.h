@@ -14,11 +14,11 @@
 //
 // A connection starts with a HELLO / HELLO_OK exchange that carries the
 // protocol magic and negotiates the version; every later frame repeats the
-// negotiated version in its header. Scalar encodings are unconditionally
-// little-endian; strings are u32-length-prefixed bytes (no terminator).
+// negotiated version in its header. Scalars, strings and values use the
+// shared encoding in common/wire.h.
 //
 // @thread_safety Free functions only; everything here is pure and
-// reentrant. WireReader/WireWriter instances are not shared across threads.
+// reentrant.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +27,16 @@
 #include <string_view>
 #include <vector>
 
-#include "common/error.h"
-#include "common/value.h"
+#include "common/wire.h"
 #include "sql/result.h"
 #include "storage/events.h"
 
 namespace qc::server {
+
+// The scalar/string/value codec lives in common/wire.h (spill payloads and
+// durable tags share it); re-exported here as part of the QCP/1 surface.
+using qc::WireReader;
+using qc::WireWriter;
 
 /// Protocol magic carried in the HELLO payload: "QCP1" read as a
 /// little-endian u32.
@@ -97,12 +101,6 @@ enum class ErrorCode : uint16_t {
 
 const char* ErrorCodeName(ErrorCode code);
 
-/// Raised by WireReader (and frame decoding) on malformed input.
-class ProtocolError : public Error {
- public:
-  explicit ProtocolError(const std::string& what) : Error("protocol error: " + what) {}
-};
-
 struct FrameHeader {
   uint32_t length = 0;
   uint8_t version = kProtocolVersion;
@@ -120,62 +118,10 @@ void EncodeFrameHeader(const FrameHeader& header, std::string& out);
 /// failure).
 FrameHeader DecodeFrameHeader(std::string_view bytes);
 
-/// Append-only little-endian payload builder.
-class WireWriter {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  void Str(std::string_view s);  // u32 length + bytes
-  void Val(const Value& v);      // u8 type tag + payload
-  void Params(const std::vector<Value>& params);  // u16 count + values
-
-  const std::string& bytes() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian payload reader. Every method throws
-/// ProtocolError on underflow or a malformed tag.
-class WireReader {
- public:
-  explicit WireReader(std::string_view bytes) : bytes_(bytes) {}
-
-  uint8_t U8();
-  uint16_t U16();
-  uint32_t U32();
-  uint64_t U64();
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64();
-  std::string Str();
-  Value Val();
-  std::vector<Value> Params();
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-  /// Call when a payload must have been fully consumed; trailing garbage is
-  /// a protocol error (catches mis-framed requests early).
-  void ExpectEnd() const;
-
- private:
-  std::string_view Take(size_t n);
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
 // --- Payload encodings shared by client and server -------------------------
 
-/// Value encoding: u8 type tag (0=NULL, 1=INT, 2=DOUBLE, 3=STRING) followed
-/// by nothing / i64 / f64 bits / u32-prefixed bytes. (Implemented by
-/// WireWriter::Val / WireReader::Val; documented here for the spec.)
-
-/// RESULT_SET payload: u8 cache_hit, u16 column_count, column names
-/// (strings), u32 row_count, then row-major values.
+/// RESULT_SET payload: u8 cache_hit, then the result body sql::EncodeResult
+/// writes (u16 column_count, column names, u32 row_count, row-major values).
 void EncodeResultSet(const sql::ResultSet& result, bool cache_hit, WireWriter& w);
 
 struct DecodedResult {

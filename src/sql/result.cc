@@ -80,4 +80,33 @@ std::string ResultSet::ToString(size_t max_rows) const {
   return os.str();
 }
 
+void EncodeResult(const ResultSet& result, WireWriter& w) {
+  if (result.columns().size() > 0xffff) throw ProtocolError("too many result columns");
+  w.U16(static_cast<uint16_t>(result.columns().size()));
+  for (const std::string& name : result.columns()) w.Str(name);
+  w.U32(static_cast<uint32_t>(result.row_count()));
+  for (const storage::Row& row : result.rows()) {
+    for (const Value& cell : row) w.Val(cell);
+  }
+}
+
+ResultSet DecodeResult(WireReader& r) {
+  const uint16_t ncols = r.U16();
+  std::vector<std::string> columns;
+  columns.reserve(ncols);
+  for (uint16_t c = 0; c < ncols; ++c) columns.push_back(r.Str());
+  ResultSet out(std::move(columns));
+  const uint32_t nrows = r.U32();
+  if (nrows > 0 && (ncols == 0 || nrows > r.remaining() / ncols)) {
+    throw ProtocolError("row count exceeds the payload");
+  }
+  for (uint32_t i = 0; i < nrows; ++i) {
+    storage::Row row;
+    row.reserve(ncols);
+    for (uint16_t c = 0; c < ncols; ++c) row.push_back(r.Val());
+    out.AddRow(std::move(row));
+  }
+  return out;
+}
+
 }  // namespace qc::sql

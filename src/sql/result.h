@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "common/wire.h"
 #include "storage/events.h"
 
 namespace qc::sql {
@@ -52,5 +53,18 @@ class ResultSet {
 };
 
 using ResultPtr = std::shared_ptr<const ResultSet>;
+
+/// The one byte layout of a result set, shared by the QCP/1 RESULT_SET
+/// payload (after its cache_hit byte) and the GPS cache's spill payloads:
+/// u16 column_count, column-name strings, u32 row_count, then row-major
+/// values (common/wire.h). Encoding throws ProtocolError above 65535
+/// columns.
+void EncodeResult(const ResultSet& result, WireWriter& w);
+
+/// Inverse of EncodeResult. Throws ProtocolError on malformed input,
+/// including a row count the remaining bytes cannot hold (every value
+/// takes at least its tag byte, so rows need columns and bytes): a hostile
+/// count fails before anything is allocated for it.
+ResultSet DecodeResult(WireReader& r);
 
 }  // namespace qc::sql

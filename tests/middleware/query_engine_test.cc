@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "common/wire.h"
+
 namespace qc::middleware {
 namespace {
 
@@ -170,9 +172,39 @@ TEST(ResultValue, RoundTripsEmptyResult) {
 }
 
 TEST(ResultValue, DeserializeRejectsGarbage) {
-  EXPECT_THROW(ResultValue::Deserialize("not a result"), CacheError);
-  EXPECT_THROW(ResultValue::Deserialize("RS1\n2\n"), CacheError);
-  EXPECT_THROW(ResultValue::Deserialize(""), CacheError);
+  EXPECT_THROW(ResultValue::Deserialize("not a result"), ProtocolError);
+  EXPECT_THROW(ResultValue::Deserialize("RS1\n2\n"), ProtocolError);
+  EXPECT_THROW(ResultValue::Deserialize(""), ProtocolError);
+  // A length that would wrap a naive bounds check (pos + len + 1).
+  EXPECT_THROW(ResultValue::Deserialize("RS1\n1\n18446744073709551588:"), ProtocolError);
+
+  // A column-name length above the bytes that remain.
+  WireWriter long_name;
+  long_name.U16(1);
+  long_name.U32(0xfffffff0u);
+  long_name.U8('x');
+  EXPECT_THROW(ResultValue::Deserialize(long_name.bytes()), ProtocolError);
+
+  // A string cell whose length overruns the payload.
+  WireWriter long_cell;
+  long_cell.U16(1);
+  long_cell.Str("S");
+  long_cell.U32(1);
+  long_cell.U8(3);  // STRING tag
+  long_cell.U32(1000);
+  long_cell.U8('x');
+  EXPECT_THROW(ResultValue::Deserialize(long_cell.bytes()), ProtocolError);
+
+  // Every strict prefix of a valid body is truncated, and trailing bytes
+  // after one are refused too.
+  auto rs = std::make_shared<sql::ResultSet>(std::vector<std::string>{"A", "B"});
+  rs->AddRow({Value(1), Value("one")});
+  rs->AddRow({Value::Null(), Value(2.5)});
+  const std::string body = ResultValue(rs).Serialize();
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    EXPECT_THROW(ResultValue::Deserialize(body.substr(0, cut)), ProtocolError) << cut;
+  }
+  EXPECT_THROW(ResultValue::Deserialize(body + '\0'), ProtocolError);
 }
 
 TEST(ResultValue, ByteSizeMatchesResultFootprint) {

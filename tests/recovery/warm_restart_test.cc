@@ -10,11 +10,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "cache/spill_format.h"
 #include "common/error.h"
+#include "common/wire.h"
 #include "middleware/query_engine.h"
 
 namespace qc::middleware {
@@ -173,7 +175,8 @@ TEST_F(WarmRestartTest, UnrebuildableEntryIsDroppedNotServed) {
   // registration can be rebuilt, so serving it would create a cache entry
   // no update could ever invalidate. It must be dropped.
   const std::string record = cache::EncodeSpillRecord(
-      "!!! not sql !!!", "", cache::kNoExpiry, "RS1\n0\n0\n");
+      "!!! not sql !!!", "", cache::kNoExpiry,
+      ResultValue(std::make_shared<sql::ResultSet>()).Serialize());
   std::ofstream(dir_ / "dead-1.obj", std::ios::binary)
       .write(record.data(), static_cast<std::streamsize>(record.size()));
 
@@ -251,13 +254,70 @@ TEST_F(WarmRestartTest, QueryTagRoundTrip) {
   EXPECT_EQ(sql, "SELECT * FROM ITEMS WHERE ID = $1");
   ASSERT_EQ(decoded.size(), params.size());
   for (size_t i = 0; i < params.size(); ++i) EXPECT_EQ(decoded[i], params[i]) << i;
-  EXPECT_THROW(
-      {
-        std::string s;
-        std::vector<Value> p;
-        DecodeQueryTag("garbage", &s, &p);
-      },
-      CacheError);
+
+  // Hostile tags must throw, never read out of bounds: the recovery path
+  // turns the throw into conservative re-registration.
+  WireWriter long_sql;
+  long_sql.U32(1000);  // SQL length above the bytes that remain
+  long_sql.U8('S');
+  WireWriter long_param;
+  long_param.Str("SELECT 1");
+  long_param.U16(1);
+  long_param.U8(3);  // STRING tag
+  long_param.U32(0xffffffffu);
+  const std::vector<std::string> hostile = {
+      "garbage",
+      "QT1\n8:SELECT 1\n0\n",          // the retired text format
+      "RS1\n1\n18446744073709551588:",  // a length that wraps pos + len + 1
+      long_sql.bytes(),
+      long_param.bytes(),
+      tag.substr(0, tag.size() - 1),     // truncated
+      tag + "x",                         // trailing bytes
+  };
+  for (const std::string& bad : hostile) {
+    std::string s;
+    std::vector<Value> p;
+    EXPECT_THROW(DecodeQueryTag(bad, &s, &p), ProtocolError) << bad;
+  }
+}
+
+// Spill format version 1 carried the retired text payload ("RS1") and tag
+// ("QT1"). A version-2 binary must quarantine such a file on open — not
+// recover it, not re-register it, not serve it.
+TEST_F(WarmRestartTest, VersionOneSpillFileIsQuarantined) {
+  {
+    CachedQueryEngine engine(db_, Options());
+    engine.ExecuteSql("SELECT COUNT(*) FROM ITEMS");
+  }
+  const std::vector<fs::path> files = SpillFiles();
+  ASSERT_EQ(files.size(), 1u);
+  std::string bytes;
+  {
+    std::ifstream in(files[0], std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  cache::SpillRecord record;
+  ASSERT_TRUE(cache::DecodeSpillRecord(bytes, &record));
+  // Same key, a version-1 body, and the version field set to 1 (the CRC
+  // covers only key + tag + payload, so the record is otherwise intact).
+  std::string v1 = cache::EncodeSpillRecord(
+      record.key, "QT1\n26:SELECT COUNT(*) FROM ITEMS\n0\n", record.expires_at_micros,
+      "RS1\n1\n8:COUNT(*)\n1\nI 20\n");
+  const uint32_t version = 1;
+  std::memcpy(v1.data() + 4, &version, sizeof(version));
+  {
+    std::ofstream out(files[0], std::ios::binary | std::ios::trunc);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+  }
+
+  CachedQueryEngine engine(db_, Options());
+  EXPECT_EQ(engine.cache().stats().quarantined, 1u);
+  EXPECT_EQ(engine.stats().recovered_registrations, 0u);
+  EXPECT_EQ(engine.stats().recovered_conservative, 0u);
+  EXPECT_EQ(engine.stats().recovered_dropped, 0u);
+  EXPECT_FALSE(engine.cache().Contains(record.key));
+  EXPECT_FALSE(engine.ExecuteSql("SELECT COUNT(*) FROM ITEMS").cache_hit);
+  EXPECT_EQ(engine.stats().db_executions, 1u);
 }
 
 }  // namespace

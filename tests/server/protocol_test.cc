@@ -118,6 +118,59 @@ TEST(Wire, ResultSetRoundTrips) {
   EXPECT_TRUE(decoded.result.Equals(rs));
 }
 
+TEST(Wire, ResultSetByteLayoutIsFixed) {
+  // The exact RESULT_SET layout promised by docs/SERVING.md: u8 cache_hit,
+  // u16 column_count, column-name strings (u32 length + bytes), u32
+  // row_count, then row-major values (u8 tag + i64 / f64 bits / string).
+  // Written out by hand so encoder and decoder cannot drift together.
+  sql::ResultSet rs({"ID", "S"});
+  rs.AddRow({Value(int64_t{-2}), Value("ab")});
+  rs.AddRow({Value::Null(), Value(1.5)});
+  WireWriter w;
+  EncodeResultSet(rs, /*cache_hit=*/true, w);
+  const uint8_t expected[] = {
+      0x01,                                            // cache_hit
+      0x02, 0x00,                                      // column_count 2
+      0x02, 0x00, 0x00, 0x00, 'I', 'D',                // "ID"
+      0x01, 0x00, 0x00, 0x00, 'S',                     // "S"
+      0x02, 0x00, 0x00, 0x00,                          // row_count 2
+      0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // INT -2
+      0x03, 0x02, 0x00, 0x00, 0x00, 'a', 'b',          // STRING "ab"
+      0x00,                                            // NULL
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // DOUBLE 1.5
+  };
+  ASSERT_EQ(w.bytes().size(), sizeof(expected));
+  for (size_t i = 0; i < sizeof(expected); ++i) {
+    EXPECT_EQ(static_cast<uint8_t>(w.bytes()[i]), expected[i]) << "byte " << i;
+  }
+  WireReader r(std::string_view(reinterpret_cast<const char*>(expected), sizeof(expected)));
+  const DecodedResult decoded = DecodeResultSet(r);
+  r.ExpectEnd();
+  EXPECT_TRUE(decoded.cache_hit);
+  EXPECT_TRUE(decoded.result.Equals(rs));
+}
+
+TEST(Wire, OverstatedRowCountThrows) {
+  // A hostile payload claiming 2^32-1 rows must be refused before the
+  // decoder allocates for them: with zero columns no bytes would ever run
+  // out, and with columns every value needs at least its tag byte.
+  WireWriter zero_columns;
+  zero_columns.U8(0);            // cache_hit
+  zero_columns.U16(0);           // no columns
+  zero_columns.U32(0xffffffffu); // rows
+  WireReader r(zero_columns.bytes());
+  EXPECT_THROW(DecodeResultSet(r), ProtocolError);
+
+  WireWriter one_column;
+  one_column.U8(0);
+  one_column.U16(1);
+  one_column.Str("X");
+  one_column.U32(0xffffffffu);
+  one_column.Val(Value(1));
+  WireReader r2(one_column.bytes());
+  EXPECT_THROW(DecodeResultSet(r2), ProtocolError);
+}
+
 TEST(Wire, EmptyResultSetRoundTrips) {
   sql::ResultSet rs({"COUNT"});
   WireWriter w;
