@@ -4,8 +4,9 @@
 // The paper's DUP engine pays O(registered queries) per update event: every
 // annotated edge of the touched column is evaluated (Policy III), or every
 // registration on the table is filtered (inserts/deletes). The
-// predicate-interval index (odg/predicate_index.h, dup/row_index.h) makes
-// the common selective update sublinear. This bench measures:
+// interval indexes (the ODG's boundary index, odg/graph.h, and the
+// row-event index, dup/row_index.h) make the common selective update
+// sublinear. This bench measures:
 //
 //   1. ns/update as the number of registered point queries Q grows
 //      (10^2..10^5), indexed vs. linear, under Policies I/II/III. The
@@ -199,7 +200,7 @@ int main() {
   using namespace qc;
   const uint64_t max_queries = benchharness::EnvU64("EXT_INV_MAX_QUERIES", 100'000);
   const size_t shards = static_cast<size_t>(benchharness::EnvU64("EXT_INV_SHARDS", 16));
-  std::cout << "ext_invalidation_scale: predicate-interval index + statement batching\n";
+  std::cout << "ext_invalidation_scale: interval indexes + statement batching\n";
 
   double speedup_at_1e4 = 0;
   std::vector<benchharness::BenchMetric> metrics;

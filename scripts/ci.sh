@@ -19,11 +19,17 @@
 #              in quick mode — their [VIOLATION] checks gate the stage and
 #              each drops a BENCH_<name>.json artifact into build/bench/
 #              (committed snapshots live in bench/artifacts/).
-#   6. serve-smoke: build qcached + qcsh, boot a real server on an
+#   6. paper:  the six paper-figure benches (fig09_query_types,
+#              fig10_update_rates, fig11_update_sizes, fig12_hot_spots,
+#              fig13_invalidations, sec51_tpc_workloads) at their default
+#              size (~35 s together); their shape checks (exit codes) gate
+#              the stage, so an invalidation change that moves a figure's
+#              hit rates out of the paper's shape fails here.
+#   7. serve-smoke: build qcached + qcsh, boot a real server on an
 #              ephemeral port with a disk cache, and drive a scripted
 #              `qcsh --connect` session (prepare, query xN, stats, drain);
 #              gates on the hit transition, clean drain, and exit code 0.
-#   7. cluster-smoke: boot one storage node plus three qcached cache nodes
+#   8. cluster-smoke: boot one storage node plus three qcached cache nodes
 #              wired as a ring (--upstream/--peer, docs/CLUSTER.md), route
 #              a SELECT through the ring to a cache hit, run a DML through
 #              a different cache node, and gate on the pushed CDC
@@ -32,13 +38,13 @@
 #              visible in \stats.
 #
 # Stages can be selected by name: `scripts/ci.sh tier1 dup` runs only the
-# first two. Default is all seven. JOBS controls build parallelism.
+# first two. Default is all eight. JOBS controls build parallelism.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 STAGES=("$@")
-[ ${#STAGES[@]} -eq 0 ] && STAGES=(tier1 dup tsan asan bench-smoke serve-smoke cluster-smoke)
+[ ${#STAGES[@]} -eq 0 ] && STAGES=(tier1 dup tsan asan bench-smoke paper serve-smoke cluster-smoke)
 
 want() {
   local stage
@@ -50,7 +56,7 @@ want() {
 
 banner() { printf '\n=== %s ===\n' "$1"; }
 
-if want tier1 || want dup || want bench-smoke || want serve-smoke || want cluster-smoke; then
+if want tier1 || want dup || want bench-smoke || want paper || want serve-smoke || want cluster-smoke; then
   banner "configure+build (default preset)"
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS"
@@ -103,6 +109,14 @@ if want bench-smoke; then
   ls -l build/bench/BENCH_ext_hit_contention.json build/bench/BENCH_ext_invalidation_scale.json \
         build/bench/BENCH_ext_server_latency.json build/bench/BENCH_ext_scan_speed.json \
         build/bench/BENCH_ext_semantic_hit.json build/bench/BENCH_ext_cluster_invalidation.json
+fi
+
+if want paper; then
+  banner "paper figures (fig09-fig13, sec51; shape checks gate)"
+  for bench in fig09_query_types fig10_update_rates fig11_update_sizes fig12_hot_spots \
+               fig13_invalidations sec51_tpc_workloads; do
+    ./build/bench/"$bench"
+  done
 fi
 
 if want serve-smoke; then

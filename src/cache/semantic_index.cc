@@ -14,7 +14,6 @@ namespace qc::cache {
 
 namespace {
 
-using dup::ValueSet;
 using sql::Expr;
 
 /// A ⊆ B over (values ∪ {NULL}): nothing of A survives outside B.
@@ -212,7 +211,7 @@ std::optional<SemanticIndex::Shape> SemanticIndex::Analyze(const sql::BoundQuery
         return std::nullopt;
       }
       if (column < 0) return std::nullopt;
-      std::optional<ValueSet> set = dup::CompileAcceptSet(pred);
+      std::optional<ValueSet> set = odg::CompileAcceptSet(pred);
       if (!set) return std::nullopt;  // wildcard LIKE: not exactly expressible
       const auto col = static_cast<uint32_t>(column);
       auto it = sets.find(col);

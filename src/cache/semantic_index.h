@@ -5,13 +5,13 @@
 // answer. This module is the middle rung of the middleware's lookup ladder
 // (exact → semantic → miss): it maps cached *source* entries — plain
 // single-table projections with conjunctive column-vs-constant predicates —
-// to their compiled definitely-true interval sets (dup/row_index's ValueSet
-// algebra) and answers "is there a cached superset of this predicate whose
-// projection covers every column the incoming query reads?". On a match the
-// engine evaluates the incoming statement's *residual* predicate over the
-// cached rows (rebinding the statement against an immutable in-memory
-// mirror of the result, so the vectorized batch engine runs unchanged) and
-// never touches the base table.
+// to their definitely-true interval sets (common/value_set.h, compiled by
+// odg::CompileAcceptSet) and answers "is there a cached superset of this
+// predicate whose projection covers every column the incoming query
+// reads?". On a match the engine evaluates the incoming statement's
+// *residual* predicate over the cached rows (rebinding the statement
+// against an immutable in-memory mirror of the result, so the vectorized
+// batch engine runs unchanged) and never touches the base table.
 //
 // Soundness of the containment test: a supported WHERE clause is an AND of
 // single-column predicates, and each per-column predicate compiles to the
@@ -55,8 +55,8 @@
 #include <vector>
 
 #include "cache/stats.h"
+#include "common/value_set.h"
 #include "dup/epochs.h"
-#include "dup/row_index.h"
 #include "sql/binder.h"
 #include "sql/result.h"
 
@@ -72,7 +72,7 @@ class SemanticIndex {
   struct Shape {
     const storage::Table* table = nullptr;
     std::string table_name;  // upper-cased
-    std::vector<std::pair<uint32_t, dup::ValueSet>> constraints;
+    std::vector<std::pair<uint32_t, ValueSet>> constraints;
     std::vector<uint32_t> referenced;  // sorted, unique
     bool references_all = false;       // SELECT * — needs every base column
 
@@ -90,7 +90,7 @@ class SemanticIndex {
   struct SourceEntry {
     std::string key;
     const storage::Table* base = nullptr;  // schema donor for the mirror
-    std::vector<std::pair<uint32_t, dup::ValueSet>> constraints;
+    std::vector<std::pair<uint32_t, ValueSet>> constraints;
     bool star = false;
     std::vector<uint32_t> projected;
     std::vector<int32_t> result_pos;

@@ -21,8 +21,12 @@ const char* PolicyName(InvalidationPolicy policy) {
 }
 
 DupEngine::DupEngine(cache::GpsCache& cache, Options options)
-    : cache_(cache), options_(std::move(options)) {
-  graph_.SetPredicateIndexEnabled(options_.use_predicate_index);
+    : cache_(cache),
+      options_(std::move(options)),
+      indexed_(options_.use_predicate_index &&
+               (options_.policy == InvalidationPolicy::kValueAware ||
+                options_.policy == InvalidationPolicy::kRowAware)),
+      graph_(indexed_) {
   // Keep the ODG consistent with cache contents: evictions, expirations and
   // replacements remove the object vertex as well.
   cache_.SetRemovalListener(
@@ -166,7 +170,7 @@ void DupEngine::RegisterLocked(const std::string& key,
   // Row-event index registration: one gate per annotated column filter the
   // query places on each table, so insert/delete events find the affected
   // keys with one probe instead of one filter evaluation per registration.
-  if (options_.use_predicate_index) {
+  if (indexed_) {
     for (const std::string& table : deps->tables) {
       const std::string table_key = ToUpper(table);
       TableRowIndex& index = row_indexes_[table_key];
@@ -181,7 +185,7 @@ void DupEngine::RegisterLocked(const std::string& key,
         const ColumnDependencyTemplate& col = deps->columns[i];
         if (ToUpper(col.table_name) != table_key) continue;
         if (col.opaque || !annotations[i]) continue;
-        std::optional<ValueSet> accepts = CompileAcceptSet(annotations[i]->filter());
+        std::optional<ValueSet> accepts = odg::CompileAcceptSet(annotations[i]->filter());
         if (!accepts) {
           linear = true;  // wildcard LIKE: evaluate the real filter per event
           break;
@@ -321,7 +325,7 @@ std::vector<std::string> DupEngine::AffectedKeysBatch(const storage::UpdateBatch
       // Attribute updates: edge-local checks — per changed column, an
       // annotated edge fires iff some atom's truth value flips (paper
       // Fig. 6 setter tokens). Propagate answers value updates from the
-      // per-vertex predicate-interval index when one is built.
+      // column's boundary index when one is built.
       std::unordered_set<odg::VertexId> affected;
       auto table_it = column_vertices_.find(table_key);
       if (table_it != column_vertices_.end()) {
@@ -369,7 +373,7 @@ std::vector<std::string> DupEngine::AffectedKeysBatch(const storage::UpdateBatch
           event.kind == storage::UpdateEvent::Kind::kInsert ? event.after : event.before;
       const char* verb = event.kind == storage::UpdateEvent::Kind::kInsert ? "insert into"
                                                                            : "delete from";
-      if (value_aware && options_.use_predicate_index) {
+      if (indexed_) {
         // One probe of the table's row-event index classifies every
         // registered key; only wildcard-LIKE registrations evaluate their
         // real filter.

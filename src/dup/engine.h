@@ -88,11 +88,13 @@ class DupEngine {
     /// Positive thresholds deliberately trade staleness for hit rate.
     double obsolescence_threshold = 0.0;
 
-    /// Answer value-aware propagation from the predicate-interval indexes
-    /// (the per-column flip index in the ODG and the per-table row-event
-    /// index) instead of scanning every edge/registration linearly. The
-    /// indexed and linear paths compute identical affected-key sets; the
-    /// switch exists for benchmarking and differential testing.
+    /// Answer value-aware propagation from the interval indexes (the ODG's
+    /// per-column boundary index and the per-table row-event index)
+    /// instead of scanning every edge/registration linearly. Both paths
+    /// compute identical affected-key sets; false is the reference that
+    /// the differential test and ext_invalidation_scale compare against.
+    /// Policies I and II consult no annotation, so they build neither
+    /// index either way.
     bool use_predicate_index = true;
   };
 
@@ -246,6 +248,9 @@ class DupEngine {
   cache::GpsCache& cache_;
   Options options_;
 
+  // use_predicate_index under a value-aware policy (III, IV).
+  const bool indexed_;
+
   mutable std::shared_mutex mutex_;
   odg::Graph graph_;
   std::unordered_map<std::string, Registered> registered_;
@@ -260,7 +265,7 @@ class DupEngine {
   std::unordered_map<std::string, std::unordered_set<std::string>> table_queries_;
   // Upper-cased table name → row-event index over the registered keys that
   // reference the table (insert/delete probes). Maintained only when
-  // Options::use_predicate_index.
+  // indexed_.
   std::unordered_map<std::string, TableRowIndex> row_indexes_;
   InvalidationTracer tracer_;
   // Mirrors "tracer_ != nullptr" so AffectedKeysBatch can pick its lock

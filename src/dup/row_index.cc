@@ -1,309 +1,10 @@
 #include "dup/row_index.h"
 
 #include <algorithm>
-#include <sstream>
 
 namespace qc::dup {
 
-namespace {
-
 using Interval = ValueSet::Interval;
-
-bool EmptyInterval(const Interval& iv) {
-  if (!iv.lo || !iv.hi) return false;
-  if (*iv.lo < *iv.hi) return false;
-  if (*iv.lo == *iv.hi) return !(iv.lo_closed && iv.hi_closed);
-  return true;  // lo > hi
-}
-
-// Sort order on lower bounds: -inf first; at equal values a closed bound
-// starts earlier than an open one.
-bool LoLess(const Interval& x, const Interval& y) {
-  if (!x.lo) return y.lo.has_value();
-  if (!y.lo) return false;
-  if (*x.lo != *y.lo) return *x.lo < *y.lo;
-  return x.lo_closed && !y.lo_closed;
-}
-
-// Does x's upper bound end before y's? +inf last; at equal values an open
-// bound ends earlier than a closed one.
-bool HiLess(const Interval& x, const Interval& y) {
-  if (!x.hi) return false;
-  if (!y.hi) return true;
-  if (*x.hi != *y.hi) return *x.hi < *y.hi;
-  return !x.hi_closed && y.hi_closed;
-}
-
-// With cur.lo <= nxt.lo: do the intervals overlap or touch (no value gap
-// between cur's end and nxt's start)? Touching requires one closed side:
-// [1,2) ∪ [2,3] coalesces, (-inf,2) ∪ (2,inf) does not.
-bool MergeableWith(const Interval& cur, const Interval& nxt) {
-  if (!cur.hi || !nxt.lo) return true;
-  if (*cur.hi > *nxt.lo) return true;
-  if (*cur.hi < *nxt.lo) return false;
-  return cur.hi_closed || nxt.lo_closed;
-}
-
-}  // namespace
-
-ValueSet ValueSet::All(bool with_null) {
-  ValueSet s;
-  s.intervals_.push_back(Interval{});
-  s.null_in_ = with_null;
-  return s;
-}
-
-ValueSet ValueSet::Point(Value v) {
-  ValueSet s;
-  s.intervals_.push_back(Interval{v, true, std::move(v), true});
-  return s;
-}
-
-ValueSet ValueSet::Below(Value b, bool closed) {
-  ValueSet s;
-  s.intervals_.push_back(Interval{std::nullopt, false, std::move(b), closed});
-  return s;
-}
-
-ValueSet ValueSet::Above(Value a, bool closed) {
-  ValueSet s;
-  s.intervals_.push_back(Interval{std::move(a), closed, std::nullopt, false});
-  return s;
-}
-
-ValueSet ValueSet::Range(Value a, Value b) {
-  ValueSet s;
-  if (b < a) return s;
-  s.intervals_.push_back(Interval{std::move(a), true, std::move(b), true});
-  return s;
-}
-
-ValueSet ValueSet::Union(const ValueSet& a, const ValueSet& b) {
-  ValueSet out;
-  out.null_in_ = a.null_in_ || b.null_in_;
-  std::vector<Interval> all;
-  all.reserve(a.intervals_.size() + b.intervals_.size());
-  all.insert(all.end(), a.intervals_.begin(), a.intervals_.end());
-  all.insert(all.end(), b.intervals_.begin(), b.intervals_.end());
-  std::sort(all.begin(), all.end(), LoLess);
-  for (Interval& iv : all) {
-    if (EmptyInterval(iv)) continue;
-    if (!out.intervals_.empty() && MergeableWith(out.intervals_.back(), iv)) {
-      Interval& cur = out.intervals_.back();
-      if (HiLess(cur, iv)) {
-        cur.hi = iv.hi;
-        cur.hi_closed = iv.hi_closed;
-      }
-    } else {
-      out.intervals_.push_back(std::move(iv));
-    }
-  }
-  return out;
-}
-
-ValueSet ValueSet::Complement(const ValueSet& s) {
-  ValueSet out;
-  out.null_in_ = !s.null_in_;
-  std::optional<Value> cur_lo;  // unset = -inf
-  bool cur_lo_closed = false;
-  bool open_ended = true;  // a trailing gap reaches +inf
-  for (const Interval& iv : s.intervals_) {
-    if (iv.lo) {
-      Interval gap{cur_lo, cur_lo_closed, *iv.lo, !iv.lo_closed};
-      if (!EmptyInterval(gap)) out.intervals_.push_back(std::move(gap));
-    }
-    if (!iv.hi) {
-      open_ended = false;
-      break;
-    }
-    cur_lo = *iv.hi;
-    cur_lo_closed = !iv.hi_closed;
-  }
-  if (open_ended) {
-    out.intervals_.push_back(Interval{cur_lo, cur_lo_closed, std::nullopt, false});
-  }
-  return out;
-}
-
-ValueSet ValueSet::Intersect(const ValueSet& a, const ValueSet& b) {
-  // De Morgan over the (values ∪ {NULL}) universe.
-  return Complement(Union(Complement(a), Complement(b)));
-}
-
-bool ValueSet::Contains(const Value& v) const {
-  if (v.is_null()) return null_in_;
-  for (const Interval& iv : intervals_) {
-    if (iv.lo && (v < *iv.lo || (v == *iv.lo && !iv.lo_closed))) continue;
-    if (iv.hi && (v > *iv.hi || (v == *iv.hi && !iv.hi_closed))) continue;
-    return true;
-  }
-  return false;
-}
-
-bool ValueSet::IsUniverse() const {
-  return null_in_ && intervals_.size() == 1 && !intervals_[0].lo && !intervals_[0].hi;
-}
-
-std::string ValueSet::ToString() const {
-  std::ostringstream os;
-  os << "{";
-  bool first = true;
-  if (null_in_) {
-    os << "NULL";
-    first = false;
-  }
-  for (const Interval& iv : intervals_) {
-    if (!first) os << ", ";
-    first = false;
-    os << (iv.lo && iv.lo_closed ? "[" : "(");
-    os << (iv.lo ? iv.lo->ToString() : "-inf") << "," << (iv.hi ? iv.hi->ToString() : "+inf");
-    os << (iv.hi && iv.hi_closed ? "]" : ")");
-  }
-  os << "}";
-  return os.str();
-}
-
-namespace {
-
-struct TriSets {
-  ValueSet t;  // values where the predicate is definitely true
-  ValueSet f;  // values where it is definitely false
-};
-
-ValueSet NullOnly() { return ValueSet::Complement(ValueSet::All(false)); }
-
-ValueSet NonNullComplement(const ValueSet& s) {
-  return ValueSet::Intersect(ValueSet::Complement(s), ValueSet::All(false));
-}
-
-// T/F sets mirroring Atom::Eval exactly (see odg/annotation.cc RawEval):
-// everything not in T and not in F evaluates to SQL unknown.
-std::optional<TriSets> AtomSets(const odg::Atom& atom) {
-  TriSets out;  // polarity-free; swapped at the end when negated
-  switch (atom.kind) {
-    case odg::Atom::Kind::kIsNull:
-      out.t = NullOnly();
-      out.f = ValueSet::All(false);
-      break;
-    case odg::Atom::Kind::kCmp: {
-      if (atom.a.is_null()) break;  // always unknown: T = F = ∅
-      switch (atom.cmp_op) {
-        case sql::BinaryOp::kEq:
-          out.t = ValueSet::Point(atom.a);
-          out.f = NonNullComplement(out.t);
-          break;
-        case sql::BinaryOp::kNe:
-          out.f = ValueSet::Point(atom.a);
-          out.t = NonNullComplement(out.f);
-          break;
-        case sql::BinaryOp::kLt:
-          out.t = ValueSet::Below(atom.a, false);
-          out.f = ValueSet::Above(atom.a, true);
-          break;
-        case sql::BinaryOp::kLe:
-          out.t = ValueSet::Below(atom.a, true);
-          out.f = ValueSet::Above(atom.a, false);
-          break;
-        case sql::BinaryOp::kGt:
-          out.t = ValueSet::Above(atom.a, false);
-          out.f = ValueSet::Below(atom.a, true);
-          break;
-        case sql::BinaryOp::kGe:
-          out.t = ValueSet::Above(atom.a, true);
-          out.f = ValueSet::Below(atom.a, false);
-          break;
-        default:
-          break;  // RawEval returns unknown for any other operator
-      }
-      break;
-    }
-    case odg::Atom::Kind::kBetween:
-      if (atom.a.is_null() || atom.b.is_null()) break;  // always unknown
-      if (atom.b < atom.a) {
-        out.f = ValueSet::All(false);  // empty range: false for every value
-        break;
-      }
-      out.t = ValueSet::Range(atom.a, atom.b);
-      out.f = ValueSet::Union(ValueSet::Below(atom.a, false), ValueSet::Above(atom.b, false));
-      break;
-    case odg::Atom::Kind::kIn: {
-      bool saw_null = false;
-      for (const Value& item : atom.set) {
-        if (item.is_null()) {
-          saw_null = true;
-          continue;
-        }
-        out.t = ValueSet::Union(out.t, ValueSet::Point(item));
-      }
-      out.f = saw_null ? ValueSet::Empty() : NonNullComplement(out.t);
-      break;
-    }
-    case odg::Atom::Kind::kLike: {
-      if (atom.a.is_null()) break;  // always unknown
-      if (!atom.a.is_string()) {
-        out.f = ValueSet::All(false);  // RawEval: false for every non-null value
-        break;
-      }
-      const std::string& pattern = atom.a.as_string();
-      if (pattern.find_first_of("%_") != std::string::npos) {
-        return std::nullopt;  // a wildcard match is not an interval set
-      }
-      // No wildcards: LIKE is string equality, and in the Value total
-      // order only the pattern itself compares equal to it.
-      out.t = ValueSet::Point(atom.a);
-      out.f = NonNullComplement(out.t);
-      break;
-    }
-  }
-  if (atom.negated) std::swap(out.t, out.f);
-  return out;
-}
-
-// Kleene combinators, mirroring ColumnPredicate::Eval: And is true iff all
-// children are true and false iff any child is false; Or dually; Not swaps.
-std::optional<TriSets> CompileTri(const odg::ColumnPredicate& p) {
-  using Kind = odg::ColumnPredicate::Kind;
-  switch (p.kind) {
-    case Kind::kTrue:
-      return TriSets{ValueSet::All(true), ValueSet::Empty()};
-    case Kind::kAtom:
-      return AtomSets(p.atom);
-    case Kind::kNot: {
-      if (p.children.empty()) return std::nullopt;
-      auto child = CompileTri(p.children[0]);
-      if (!child) return std::nullopt;
-      std::swap(child->t, child->f);
-      return child;
-    }
-    case Kind::kAnd:
-    case Kind::kOr: {
-      const bool conjunction = p.kind == Kind::kAnd;
-      TriSets acc{conjunction ? ValueSet::All(true) : ValueSet::Empty(),
-                  conjunction ? ValueSet::Empty() : ValueSet::All(true)};
-      for (const odg::ColumnPredicate& c : p.children) {
-        auto child = CompileTri(c);
-        if (!child) return std::nullopt;
-        if (conjunction) {
-          acc.t = ValueSet::Intersect(acc.t, child->t);
-          acc.f = ValueSet::Union(acc.f, child->f);
-        } else {
-          acc.t = ValueSet::Union(acc.t, child->t);
-          acc.f = ValueSet::Intersect(acc.f, child->f);
-        }
-      }
-      return acc;
-    }
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-std::optional<ValueSet> CompileAcceptSet(const odg::ColumnPredicate& p) {
-  auto tri = CompileTri(p);
-  if (!tri) return std::nullopt;
-  return std::move(tri->t);
-}
 
 void TableRowIndex::AddKey(const std::string& key,
                            std::vector<std::pair<uint32_t, ValueSet>> gates) {

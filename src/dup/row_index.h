@@ -4,10 +4,10 @@
 //
 // The engine's value-aware insert/delete check (paper §4.2's Platinum
 // example) is conjunctive: the row must pass EVERY annotated column filter
-// the query places on the table. This module compiles each single-column
-// filter (odg::ColumnPredicate) into the set of values for which the
-// filter is *definitely true* — a ValueSet of disjoint intervals over the
-// Value total order plus a NULL flag — and indexes those sets per column:
+// the query places on the table. odg::CompileAcceptSet compiles each
+// single-column filter (odg::ColumnPredicate) into the set of values for
+// which the filter is *definitely true* — a ValueSet (common/value_set.h)
+// — and this module indexes those sets per column:
 //
 //   * singleton intervals          → hash buckets (points_)
 //   * rays (-inf, b] / (-inf, b)   → ordered scan from b >= v (below_)
@@ -26,10 +26,6 @@
 // uncompilable filter (wildcard LIKE) are returned separately so the
 // caller can fall back to direct filter evaluation.
 //
-// Compilation is exact in Kleene logic: T("definitely true") and
-// F("definitely false") sets are tracked per predicate node (And: T=∩,
-// F=∪; Or: T=∪, F=∩; Not: swap), mirroring ColumnPredicate::Eval.
-//
 // @thread_safety Externally synchronized by the DUP engine lock: Probe may
 // run under a shared lock from many threads concurrently (it only touches
 // const state and relaxed atomic counters); Add*/RemoveKey require the
@@ -39,61 +35,13 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/value.h"
-#include "odg/annotation.h"
+#include "common/value_set.h"
 
 namespace qc::dup {
-
-/// A set of non-NULL values represented as sorted disjoint intervals over
-/// the Value total order, plus an explicit NULL-membership flag.
-class ValueSet {
- public:
-  /// One interval. An unset bound value means infinite on that side (and
-  /// `closed` is meaningless). Empty intervals are never stored.
-  struct Interval {
-    std::optional<Value> lo;
-    bool lo_closed = false;
-    std::optional<Value> hi;
-    bool hi_closed = false;
-  };
-
-  static ValueSet Empty() { return ValueSet(); }
-  static ValueSet All(bool with_null);
-  static ValueSet Point(Value v);
-  /// (-inf, b] when closed, (-inf, b) otherwise.
-  static ValueSet Below(Value b, bool closed);
-  /// [a, +inf) when closed, (a, +inf) otherwise.
-  static ValueSet Above(Value a, bool closed);
-  /// [a, b] (both closed). Empty when b < a.
-  static ValueSet Range(Value a, Value b);
-
-  static ValueSet Union(const ValueSet& a, const ValueSet& b);
-  static ValueSet Intersect(const ValueSet& a, const ValueSet& b);
-  /// Complement relative to (all values ∪ {NULL}).
-  static ValueSet Complement(const ValueSet& s);
-
-  bool Contains(const Value& v) const;
-  bool contains_null() const { return null_in_; }
-  bool empty() const { return intervals_.empty() && !null_in_; }
-  bool IsUniverse() const;  // every value including NULL
-  const std::vector<Interval>& intervals() const { return intervals_; }
-
-  std::string ToString() const;
-
- private:
-  std::vector<Interval> intervals_;  // sorted, disjoint, non-touching
-  bool null_in_ = false;
-};
-
-/// The set of values where `p` evaluates to definitely-true, or nullopt if
-/// the predicate contains an atom the interval algebra cannot express
-/// exactly (a wildcard LIKE).
-std::optional<ValueSet> CompileAcceptSet(const odg::ColumnPredicate& p);
 
 /// Per-table index over registered query keys. See file comment.
 class TableRowIndex {

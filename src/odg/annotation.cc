@@ -218,4 +218,143 @@ std::string EdgeAnnotation::ToString(const std::string& column) const {
   return os.str();
 }
 
+namespace {
+
+ValueSet NullOnly() { return ValueSet::Complement(ValueSet::All(false)); }
+
+ValueSet NonNullComplement(const ValueSet& s) {
+  return ValueSet::Intersect(ValueSet::Complement(s), ValueSet::All(false));
+}
+
+}  // namespace
+
+std::optional<TriSets> AtomSets(const Atom& atom) {
+  TriSets out;  // polarity-free; swapped at the end when negated
+  switch (atom.kind) {
+    case Atom::Kind::kIsNull:
+      out.t = NullOnly();
+      out.f = ValueSet::All(false);
+      break;
+    case Atom::Kind::kCmp: {
+      if (atom.a.is_null()) break;  // always unknown: T = F = ∅
+      switch (atom.cmp_op) {
+        case sql::BinaryOp::kEq:
+          out.t = ValueSet::Point(atom.a);
+          out.f = NonNullComplement(out.t);
+          break;
+        case sql::BinaryOp::kNe:
+          out.f = ValueSet::Point(atom.a);
+          out.t = NonNullComplement(out.f);
+          break;
+        case sql::BinaryOp::kLt:
+          out.t = ValueSet::Below(atom.a, false);
+          out.f = ValueSet::Above(atom.a, true);
+          break;
+        case sql::BinaryOp::kLe:
+          out.t = ValueSet::Below(atom.a, true);
+          out.f = ValueSet::Above(atom.a, false);
+          break;
+        case sql::BinaryOp::kGt:
+          out.t = ValueSet::Above(atom.a, false);
+          out.f = ValueSet::Below(atom.a, true);
+          break;
+        case sql::BinaryOp::kGe:
+          out.t = ValueSet::Above(atom.a, true);
+          out.f = ValueSet::Below(atom.a, false);
+          break;
+        default:
+          break;  // RawEval returns unknown for any other operator
+      }
+      break;
+    }
+    case Atom::Kind::kBetween:
+      if (atom.a.is_null() || atom.b.is_null()) break;  // always unknown
+      if (atom.b < atom.a) {
+        out.f = ValueSet::All(false);  // empty range: false for every value
+        break;
+      }
+      out.t = ValueSet::Range(atom.a, atom.b);
+      out.f = ValueSet::Union(ValueSet::Below(atom.a, false), ValueSet::Above(atom.b, false));
+      break;
+    case Atom::Kind::kIn: {
+      bool saw_null = false;
+      for (const Value& item : atom.set) {
+        if (item.is_null()) {
+          saw_null = true;
+          continue;
+        }
+        out.t = ValueSet::Union(out.t, ValueSet::Point(item));
+      }
+      out.f = saw_null ? ValueSet::Empty() : NonNullComplement(out.t);
+      break;
+    }
+    case Atom::Kind::kLike: {
+      if (atom.a.is_null()) break;  // always unknown
+      if (!atom.a.is_string()) {
+        out.f = ValueSet::All(false);  // RawEval: false for every non-null value
+        break;
+      }
+      const std::string& pattern = atom.a.as_string();
+      if (pattern.find_first_of("%_") != std::string::npos) {
+        return std::nullopt;  // a wildcard match is not an interval set
+      }
+      // No wildcards: LIKE is string equality, and in the Value total
+      // order only the pattern itself compares equal to it.
+      out.t = ValueSet::Point(atom.a);
+      out.f = NonNullComplement(out.t);
+      break;
+    }
+  }
+  if (atom.negated) std::swap(out.t, out.f);
+  return out;
+}
+
+namespace {
+
+// Kleene combinators, mirroring ColumnPredicate::Eval: And is true iff all
+// children are true and false iff any child is false; Or dually; Not swaps.
+std::optional<TriSets> CompileTri(const ColumnPredicate& p) {
+  using Kind = ColumnPredicate::Kind;
+  switch (p.kind) {
+    case Kind::kTrue:
+      return TriSets{ValueSet::All(true), ValueSet::Empty()};
+    case Kind::kAtom:
+      return AtomSets(p.atom);
+    case Kind::kNot: {
+      if (p.children.empty()) return std::nullopt;
+      auto child = CompileTri(p.children[0]);
+      if (!child) return std::nullopt;
+      std::swap(child->t, child->f);
+      return child;
+    }
+    case Kind::kAnd:
+    case Kind::kOr: {
+      const bool conjunction = p.kind == Kind::kAnd;
+      TriSets acc{conjunction ? ValueSet::All(true) : ValueSet::Empty(),
+                  conjunction ? ValueSet::Empty() : ValueSet::All(true)};
+      for (const ColumnPredicate& c : p.children) {
+        auto child = CompileTri(c);
+        if (!child) return std::nullopt;
+        if (conjunction) {
+          acc.t = ValueSet::Intersect(acc.t, child->t);
+          acc.f = ValueSet::Union(acc.f, child->f);
+        } else {
+          acc.t = ValueSet::Union(acc.t, child->t);
+          acc.f = ValueSet::Intersect(acc.f, child->f);
+        }
+      }
+      return acc;
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<ValueSet> CompileAcceptSet(const ColumnPredicate& p) {
+  auto tri = CompileTri(p);
+  if (!tri) return std::nullopt;
+  return std::move(tri->t);
+}
+
 }  // namespace qc::odg

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/value.h"
+#include "common/value_set.h"
 #include "sql/ast.h"
 
 namespace qc::odg {
@@ -76,6 +77,26 @@ struct ColumnPredicate {
 
   std::string ToString(const std::string& column = "x") const;
 };
+
+/// Kleene truth sets of a single-column predicate over the Value order:
+/// `t` holds the values where it is definitely true, `f` those where it is
+/// definitely false, and every other value (NULL included, unless listed)
+/// evaluates to SQL unknown.
+struct TriSets {
+  ValueSet t;
+  ValueSet f;
+};
+
+/// The T/F sets of one atom, polarity applied, mirroring Atom::Eval
+/// exactly; nullopt for an atom the interval algebra cannot express (a
+/// LIKE pattern with wildcards).
+std::optional<TriSets> AtomSets(const Atom& atom);
+
+/// The set of values where `p` evaluates to definitely-true, or nullopt if
+/// the predicate contains an atom AtomSets cannot express. Exact in Kleene
+/// logic: T/F sets are combined per node (And: T=∩, F=∪; Or: T=∪, F=∩;
+/// Not: swap), mirroring ColumnPredicate::Eval.
+std::optional<ValueSet> CompileAcceptSet(const ColumnPredicate& p);
 
 /// The annotation attached to an ODG edge attribute-vertex → object-vertex.
 class EdgeAnnotation {

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,9 +19,10 @@
 
 #include "common/value.h"
 #include "odg/annotation.h"
-#include "odg/predicate_index.h"
 
 namespace qc::odg {
+
+using VertexId = uint32_t;
 
 enum class VertexKind {
   kUnderlying,    // no incoming edges in a simple ODG (paper Fig. 3)
@@ -66,6 +68,12 @@ class Graph {
     std::optional<EdgeAnnotation> annotation;
   };
 
+  /// `index_updates` builds, per vertex, the boundary index that answers
+  /// value updates (see Propagate); false leaves every update on the
+  /// linear scan, the reference the index is tested against. Fixed for
+  /// the graph's lifetime.
+  explicit Graph(bool index_updates = true) : index_updates_(index_updates) {}
+
   /// Add a vertex with a unique name; throws Error if the name exists.
   VertexId AddVertex(const std::string& name, VertexKind kind);
 
@@ -99,19 +107,20 @@ class Graph {
   /// (excluding the source), in discovery order.
   ///
   /// kValueUpdate changes with non-null old/new values are answered from
-  /// the source's predicate-interval index when enabled — output-sensitive
-  /// instead of out-degree-linear, with identical results (see
-  /// odg/predicate_index.h). Null-valued updates, kGeneric and kRowValue
-  /// changes take the linear scan.
+  /// the source's boundary index when the graph builds one, with results
+  /// identical to the linear scan. Each annotated edge's atoms are compiled
+  /// to their Kleene T/F sets (AtomSets), and every finite endpoint of those
+  /// intervals is posted once. An atom's state (T/F/unknown) is constant
+  /// between consecutive endpoints, so it can differ between old and new
+  /// only if an endpoint lies in [min(old,new), max(old,new)]: the probe
+  /// scans that window and fires a candidate atom's edge iff Atom::Flips.
+  /// Atoms whose state changes only AT their endpoints (=, <>, IN, LIKE
+  /// without wildcards) post into a hash bucket instead, probed at old and
+  /// new. Atoms with one state for every non-NULL value post nothing.
+  /// Wildcard-LIKE atoms are checked on every probe, and unannotated edges
+  /// always fire. NULL-valued updates, kGeneric and kRowValue changes
+  /// take the linear scan.
   std::vector<VertexId> Propagate(VertexId source, const ChangeSpec& spec) const;
-
-  /// Maintain (and serve Propagate from) per-vertex predicate-interval
-  /// indexes over annotated out-edges. Enabled by default; disabling gives
-  /// the pure linear scan (differential baseline, benchmarks). Toggling
-  /// rebuilds the indexes from the current edges, so it is valid at any
-  /// time but not concurrently with other access.
-  void SetPredicateIndexEnabled(bool enabled);
-  bool predicate_index_enabled() const { return predicate_index_enabled_; }
 
   /// Probe accounting (relaxed atomics: Propagate stays const and safe for
   /// concurrent readers): indexed update probes served, and update
@@ -134,6 +143,36 @@ class Graph {
   std::string ToDot() const;
 
  private:
+  /// The boundary index of one vertex's out-edges (see Propagate).
+  struct FlipIndex {
+    /// One atom of an edge to `to`, shared by all of the atom's postings.
+    struct Posting {
+      VertexId to = 0;
+      std::shared_ptr<const Atom> atom;
+    };
+    using BoundMap = std::multimap<Value, Posting>;
+
+    /// Post the atoms of one edge (null: an unannotated edge).
+    void Add(VertexId to, const EdgeAnnotation* annotation);
+    /// Drop every posting of every edge targeting `to`. Idempotent.
+    void Remove(VertexId to);
+    /// Appends the targets of firing edges; may repeat a target.
+    void Probe(const Value& old_v, const Value& new_v, std::vector<VertexId>& fired) const;
+
+    std::unordered_map<Value, std::vector<Posting>, ValueHash> points;
+    BoundMap bounds;
+    /// Atoms AtomSets cannot compile (wildcard LIKE), checked per probe.
+    std::unordered_map<VertexId, std::vector<std::shared_ptr<const Atom>>> overflow;
+    /// Unannotated edges, by multiplicity.
+    std::unordered_map<VertexId, uint32_t> always;
+    /// What Remove must erase for one target: its point keys and bounds.
+    struct Handles {
+      std::vector<Value> points;
+      std::vector<BoundMap::iterator> bounds;
+    };
+    std::unordered_map<VertexId, Handles> by_target;
+  };
+
   struct Vertex {
     std::string name;
     VertexKind kind = VertexKind::kObject;
@@ -141,22 +180,23 @@ class Graph {
     double obsolescence = 0.0;
     std::vector<Edge> out;
     std::vector<VertexId> in;  // sources, for O(degree) removal
-    /// Update-flip index over `out` (lazily created on first edge while
-    /// indexing is enabled; null = fall back to the linear scan).
-    std::unique_ptr<PredicateIndex> index;
+    /// Boundary index over `out` (created with the first out-edge when the
+    /// graph indexes updates; null = linear scan).
+    std::unique_ptr<FlipIndex> flips;
   };
 
   const Vertex& At(VertexId v) const;
   Vertex& At(VertexId v);
   bool EdgeFires(const Edge& edge, const ChangeSpec& spec) const;
-  void IndexEdge(Vertex& src, const Edge& edge);
+  /// Unlink every edge into `v` from its sources' out lists and indexes.
+  void DetachInEdges(Vertex& target, VertexId v);
 
   std::vector<Vertex> vertices_;
   std::unordered_map<std::string, VertexId> by_name_;
   std::vector<VertexId> free_ids_;
   size_t live_count_ = 0;
   size_t edge_count_ = 0;
-  bool predicate_index_enabled_ = true;
+  const bool index_updates_;
   mutable std::atomic<uint64_t> index_probes_{0};
   mutable std::atomic<uint64_t> index_fallbacks_{0};
 };

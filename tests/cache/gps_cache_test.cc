@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../test_dir.h"
 #include "cache/memory_store.h"
 #include "common/error.h"
 
@@ -85,11 +86,8 @@ TEST(MemoryStore, OversizedObjectRejected) {
 
 class DiskStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "qc_disk_store_test";
-    std::filesystem::remove_all(dir_);
-  }
-  std::filesystem::path dir_;
+  TestDir tmp_;
+  std::filesystem::path dir_ = tmp_.path() / "store";
 };
 
 TEST_F(DiskStoreTest, PutGetRoundTrip) {
@@ -251,10 +249,10 @@ TEST(GpsCache, EvictionNotifiesListener) {
 }
 
 TEST(GpsCache, DiskModeRoundTrip) {
+  TestDir tmp;
   GpsCacheConfig config;
   config.mode = CacheMode::kDisk;
-  config.disk_directory =
-      (std::filesystem::temp_directory_path() / "qc_gps_disk_test").string();
+  config.disk_directory = tmp.Path("store");
   config.deserializer = &StringValue::Deserialize;
   GpsCache cache(config);
   cache.Put("k", Str("disk payload"));
@@ -267,8 +265,8 @@ TEST(GpsCache, HybridSpillsAndPromotes) {
   GpsCacheConfig config;
   config.mode = CacheMode::kHybrid;
   config.memory_max_entries = 2;
-  config.disk_directory =
-      (std::filesystem::temp_directory_path() / "qc_gps_hybrid_test").string();
+  TestDir tmp;
+  config.disk_directory = tmp.Path("store");
   config.deserializer = &StringValue::Deserialize;
   GpsCache cache(config);
   int full_evictions = 0;
@@ -294,7 +292,8 @@ TEST(GpsCache, DiskModeRequiresConfig) {
   GpsCacheConfig config;
   config.mode = CacheMode::kDisk;
   EXPECT_THROW(GpsCache cache(config), CacheError);
-  config.disk_directory = (std::filesystem::temp_directory_path() / "qc_gps_cfg").string();
+  TestDir tmp;
+  config.disk_directory = tmp.Path("store");
   EXPECT_THROW(GpsCache cache(config), CacheError);  // missing deserializer
 }
 
@@ -302,15 +301,12 @@ TEST(GpsCache, DiskModeRequiresConfig) {
 
 class TxLogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() / "qc_txlog_test.log").string();
-    std::filesystem::remove(path_);
-  }
   std::string ReadAll() {
     std::ifstream in(path_);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
-  std::string path_;
+  TestDir tmp_;
+  std::string path_ = tmp_.Path("txlog.log");
 };
 
 TEST_F(TxLogTest, EveryRecordPolicyFlushesImmediately) {
@@ -358,9 +354,8 @@ TEST_F(TxLogTest, UnwritablePathThrows) {
 }
 
 TEST(GpsCache, TransactionLoggingRecordsOperations) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "qc_gps_log_test.log").string();
-  std::filesystem::remove(path);
+  TestDir tmp;
+  const std::string path = tmp.Path("gps.log");
   {
     GpsCacheConfig config;
     config.log_path = path;

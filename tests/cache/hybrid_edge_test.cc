@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "../test_dir.h"
 #include "cache/gps_cache.h"
 
 namespace qc::cache {
@@ -15,30 +16,33 @@ std::string Data(const CacheValuePtr& v) {
   return std::static_pointer_cast<const StringValue>(v)->data();
 }
 
-GpsCacheConfig HybridConfig(const char* tag, size_t memory_bytes, size_t disk_bytes) {
+GpsCacheConfig HybridConfig(const TestDir& tmp, size_t memory_bytes,
+                            size_t disk_bytes) {
   GpsCacheConfig config;
   config.mode = CacheMode::kHybrid;
   config.memory_budget_bytes = memory_bytes;
   config.disk_budget_bytes = disk_bytes;
-  config.disk_directory = (std::filesystem::temp_directory_path() / tag).string();
+  config.disk_directory = tmp.Path("store");
   config.deserializer = &StringValue::Deserialize;
   return config;
 }
 
 TEST(HybridEdge, ObjectTooBigForMemoryStillRejectedAtPut) {
+  TestDir tmp;
   // Put goes to the memory level first in hybrid mode; an object larger
   // than the memory budget is rejected outright (the caller treats it as
   // uncacheable) rather than silently landing disk-only.
-  GpsCache cache(HybridConfig("qc_hybrid_edge1", 1024, 1 << 20));
+  GpsCache cache(HybridConfig(tmp, 1024, 1 << 20));
   EXPECT_FALSE(cache.Put("big", Str(std::string(10'000, 'x'))));
   EXPECT_EQ(cache.Get("big"), nullptr);
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
 TEST(HybridEdge, DiskBudgetBoundsSpillDepth) {
+  TestDir tmp;
   // Memory holds ~2 entries, disk ~3: pushing 10 entries must keep the
   // total bounded and evict the oldest outright.
-  GpsCacheConfig config = HybridConfig("qc_hybrid_edge2", 2200, 3300);
+  GpsCacheConfig config = HybridConfig(tmp, 2200, 3300);
   GpsCache cache(config);
   int evicted = 0;
   cache.SetRemovalListener([&](const std::string&, RemovalCause cause, uint64_t) {
@@ -56,7 +60,8 @@ TEST(HybridEdge, DiskBudgetBoundsSpillDepth) {
 }
 
 TEST(HybridEdge, SpilledEntryRoundTripsExactBytes) {
-  GpsCache cache(HybridConfig("qc_hybrid_edge3", 1200, 1 << 20));
+  TestDir tmp;
+  GpsCache cache(HybridConfig(tmp, 1200, 1 << 20));
   std::string payload;
   for (int i = 0; i < 256; ++i) payload += static_cast<char>(i);  // all byte values
   cache.Put("binary", Str(payload));
@@ -67,7 +72,8 @@ TEST(HybridEdge, SpilledEntryRoundTripsExactBytes) {
 }
 
 TEST(HybridEdge, InvalidateRemovesFromBothLevels) {
-  GpsCache cache(HybridConfig("qc_hybrid_edge4", 1200, 1 << 20));
+  TestDir tmp;
+  GpsCache cache(HybridConfig(tmp, 1200, 1 << 20));
   cache.Put("a", Str(std::string(800, 'a')));
   cache.Put("b", Str(std::string(800, 'b')));  // a spills
   EXPECT_TRUE(cache.Invalidate("a"));           // disk-resident
@@ -77,12 +83,13 @@ TEST(HybridEdge, InvalidateRemovesFromBothLevels) {
 }
 
 TEST(HybridEdge, PromoteSurvivesSpillBackEvictionCascade) {
+  TestDir tmp;
   // Regression for the promote path: Get on a disk-resident key promotes
   // it into memory, which can evict another entry, whose spill-back can in
   // turn overflow the disk budget and evict a disk entry. The key being
   // promoted must never be the disk victim (it is erased from disk before
   // the spill-back runs) and its metadata must survive the cascade.
-  GpsCacheConfig config = HybridConfig("qc_hybrid_edge_promote", 1 << 20, 1200);
+  GpsCacheConfig config = HybridConfig(tmp, 1 << 20, 1200);
   config.memory_max_entries = 1;
   GpsCache cache(config);
   std::vector<std::string> evicted;
@@ -109,9 +116,10 @@ TEST(HybridEdge, PromoteSurvivesSpillBackEvictionCascade) {
 }
 
 TEST(HybridEdge, ExpirationAppliesToSpilledEntries) {
+  TestDir tmp;
   using namespace std::chrono_literals;
   TimePoint now{};
-  GpsCacheConfig config = HybridConfig("qc_hybrid_edge5", 1200, 1 << 20);
+  GpsCacheConfig config = HybridConfig(tmp, 1200, 1 << 20);
   config.now = [&now] { return now; };
   GpsCache cache(config);
   cache.Put("a", Str(std::string(800, 'a')), 10s);

@@ -1,6 +1,6 @@
 // Differential property tests for the sublinear invalidation path:
 //
-//   1. CompileAcceptSet (dup/row_index.h) against ColumnPredicate::Eval —
+//   1. odg::CompileAcceptSet against ColumnPredicate::Eval —
 //      the compiled interval set must contain exactly the values where the
 //      filter is definitely true.
 //   2. A predicate-indexed DupEngine against a linear-scan DupEngine — for
@@ -12,8 +12,9 @@
 #include <memory>
 #include <random>
 
+#include "common/value_set.h"
 #include "dup/engine.h"
-#include "dup/row_index.h"
+#include "odg/annotation.h"
 #include "sql/binder.h"
 #include "sql/fingerprint.h"
 #include "sql/parser.h"
@@ -102,7 +103,7 @@ TEST(CompileAcceptSetTest, MatchesDefinitelyTrueEvaluation) {
   int compiled = 0;
   for (int round = 0; round < 400; ++round) {
     const odg::ColumnPredicate pred = RandomPredicate(rng, 3);
-    const auto set = CompileAcceptSet(pred);
+    const auto set = odg::CompileAcceptSet(pred);
     if (!set) continue;  // wildcard LIKE inside: legitimately uncompilable
     ++compiled;
     for (int probe = 0; probe < 40; ++probe) {
@@ -267,6 +268,33 @@ TEST(EngineDifferentialTest, PolicyIIIMatchesLinear) {
 
 TEST(EngineDifferentialTest, PolicyIVMatchesLinear) {
   RunDifferential(InvalidationPolicy::kRowAware, 33);
+}
+
+// Policy II consults no annotation, so registration builds neither the
+// ODG's boundary index nor the row-event index: a value update probed on
+// the column vertex takes the linear scan and counts no index probe.
+TEST(EngineDifferentialTest, PolicyIIBuildsNoIndex) {
+  storage::Database db;
+  db.CreateTable("T", storage::Schema({{"X", ValueType::kInt, true}}));
+  cache::GpsCache cache(cache::GpsCacheConfig{});
+  DupEngine::Options options;
+  options.policy = InvalidationPolicy::kValueUnaware;
+  DupEngine engine(cache, options);
+  auto query = sql::ParseAndBind("SELECT COUNT(*) FROM T WHERE X = 5", db);
+  engine.RegisterQuery(sql::Fingerprint(query->stmt(), {}), query, {});
+
+  odg::Graph& graph = engine.graph_for_test();
+  const auto col = graph.Find("col:T.X");
+  ASSERT_TRUE(col.has_value());
+  EXPECT_EQ(graph.Propagate(*col, odg::ChangeSpec::Update(Value(5), Value(6))).size(), 1u);
+  EXPECT_EQ(graph.index_probes(), 0u);
+
+  storage::UpdateEvent insert;
+  insert.kind = storage::UpdateEvent::Kind::kInsert;
+  insert.table = "T";
+  insert.after = {Value(5)};
+  engine.OnUpdate(insert);
+  EXPECT_EQ(engine.stats().predicate_index_probes, 0u);
 }
 
 }  // namespace

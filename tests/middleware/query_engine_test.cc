@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "../test_dir.h"
 #include "common/wire.h"
 
 namespace qc::middleware {
@@ -125,8 +126,8 @@ TEST_F(QueryEngineTest, HybridDiskCacheServesResultsAcrossSpill) {
   CachedQueryEngine::Options options;
   options.cache.mode = cache::CacheMode::kHybrid;
   options.cache.memory_max_entries = 1;
-  options.cache.disk_directory =
-      (std::filesystem::temp_directory_path() / "qc_engine_hybrid").string();
+  TestDir tmp;
+  options.cache.disk_directory = tmp.Path("store");
   CachedQueryEngine engine(db_, options);
   auto q1 = engine.Prepare("SELECT ID, PRICE FROM ITEMS WHERE KIND = 'even'");
   auto q2 = engine.Prepare("SELECT ID, PRICE FROM ITEMS WHERE KIND = 'odd'");

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../test_dir.h"
 #include "cache/disk_store.h"
 #include "cache/gps_cache.h"
 #include "cache/spill_format.h"
@@ -92,21 +93,10 @@ TEST(SpillFormat, DecodeRejectsCorruptionWithoutThrowing) {
 
 // --- DiskStore recovery ------------------------------------------------------
 
-// Each test gets its own spool directory: ctest registers every case
-// individually, so two cases of one fixture can run concurrently under
-// `ctest -j`, and a shared path would race on remove_all vs. writes.
-fs::path UniqueTestDir(const char* prefix) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return fs::temp_directory_path() / (std::string(prefix) + "_" + info->name());
-}
-
 class DiskRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = UniqueTestDir("qc_disk_recovery_test");
-    fs::remove_all(dir_);
-  }
-  fs::path dir_;
+  TestDir tmp_;
+  fs::path dir_ = tmp_.path() / "spool";
 };
 
 TEST_F(DiskRecoveryTest, PersistentStoreSurvivesReopen) {
@@ -256,11 +246,6 @@ TEST_F(DiskRecoveryTest, WrongKeyInFileIsQuarantinedOnRead) {
 
 class GpsRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = UniqueTestDir("qc_gps_recovery_test");
-    fs::remove_all(dir_);
-  }
-
   GpsCacheConfig DiskConfig() {
     GpsCacheConfig config;
     config.mode = CacheMode::kDisk;
@@ -270,7 +255,8 @@ class GpsRecoveryTest : public ::testing::Test {
     return config;
   }
 
-  fs::path dir_;
+  TestDir tmp_;
+  fs::path dir_ = tmp_.path() / "spool";
 };
 
 TEST_F(GpsRecoveryTest, DiskCacheSurvivesReopen) {
@@ -422,8 +408,7 @@ TEST_F(GpsRecoveryTest, ShardedSpoolRecoversWithSameShardCount) {
 }
 
 TEST_F(GpsRecoveryTest, RecoveryLogsRestoredCount) {
-  const std::string log_path = (fs::temp_directory_path() / "qc_gps_recovery.log").string();
-  fs::remove(log_path);
+  const std::string log_path = tmp_.Path("gps.log");
   {
     GpsCache cache(DiskConfig());
     cache.Put("q", Str("v"));
@@ -442,15 +427,12 @@ TEST_F(GpsRecoveryTest, RecoveryLogsRestoredCount) {
 
 class TxLogRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = UniqueTestDir("qc_txlog_recovery").string() + ".log";
-    fs::remove(path_);
-  }
   std::string ReadAll() {
     std::ifstream in(path_);
     return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
-  std::string path_;
+  TestDir tmp_;
+  std::string path_ = tmp_.Path("txlog.log");
 };
 
 TEST_F(TxLogRecoveryTest, RecordsStampWallClockEpochMicros) {

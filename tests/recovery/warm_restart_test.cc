@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "../test_dir.h"
 #include "cache/spill_format.h"
 #include "common/error.h"
 #include "common/wire.h"
@@ -26,14 +27,7 @@ namespace fs = std::filesystem;
 
 class WarmRestartTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Per-test directory: ctest runs cases of this fixture concurrently
-    // under -j, so a shared path would race on remove_all vs. writes.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::temp_directory_path() / (std::string("qc_warm_restart_test_") + info->name());
-    fs::remove_all(dir_);
-    PopulateItems(db_);
-  }
+  void SetUp() override { PopulateItems(db_); }
 
   static void PopulateItems(storage::Database& db) {
     storage::Table& table =
@@ -63,7 +57,8 @@ class WarmRestartTest : public ::testing::Test {
     return files;
   }
 
-  fs::path dir_;
+  TestDir tmp_;
+  fs::path dir_ = tmp_.path() / "spool";
   storage::Database db_;
 };
 

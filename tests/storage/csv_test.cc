@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "../test_dir.h"
 #include "common/error.h"
 #include "storage/database.h"
 
@@ -90,8 +91,8 @@ TEST(Csv, QuotedNullTokenIsAString) {
 }
 
 TEST(Csv, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "qc_csv_test.csv").string();
+  TestDir tmp;
+  const std::string path = tmp.Path("table.csv");
   Table source("S", TestSchema());
   source.Insert({Value(1), Value("file"), Value(9.0)});
   ExportCsvFile(source, path);
